@@ -1,6 +1,8 @@
 // Engine fast-path microbench: ns/event (and cycles/event) for the
-// calendar queue against the kept std::map reference mode, in ONE
-// process so the ratio is machine-portable and can be CI-gated.
+// calendar-queue Engine against a bench-local std::map event loop (the
+// seed engine's queue, same shape as MapOracle in
+// tests/test_event_queue.cpp), in ONE process so the ratio is
+// machine-portable and can be CI-gated.
 //
 // Legs:
 //
@@ -12,10 +14,10 @@
 //              drained off the queue's cached-bucket fast path.
 //   far      — every offset beyond the ring window, so each event takes
 //              the overflow-heap path (the queue's worst case).
-//   scenario — the 10k-node generated workload end to end, calendar vs
-//              map, wall events/sec.  Virtual-time events/vsec is
-//              deterministic and band-gated; wall figures are recorded
-//              as info metrics (machine-dependent by nature).
+//   scenario — the 10k-node generated workload end to end, wall
+//              events/sec.  Virtual-time events/vsec is deterministic
+//              and band-gated; the wall figure is recorded as an info
+//              metric (machine-dependent by nature).
 //
 // Cycle counts come from rdtsc (per SNIPPETS.md exemplar 2) with a
 // steady_clock fallback on non-x86; ns come from steady_clock.  Only
@@ -25,6 +27,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -59,6 +65,43 @@ inline std::uint64_t read_tsc() {
 #endif
 }
 
+// --------------------------------------------------------------------------
+// The rival: the seed engine's std::map<(t, seq), std::function> queue.
+// One RB-tree node per event AND one closure allocation per event (the
+// shared_ptr restores the std::function heap hit the seed paid, which
+// the 48-byte inline EventFn would otherwise hide).
+// --------------------------------------------------------------------------
+
+class MapEngine {
+ public:
+  pc::SimTime now() const { return now_; }
+  std::uint64_t processed() const { return processed_; }
+
+  void schedule_at(pc::SimTime t, pc::EventFn fn) {
+    if (t < now_) t = now_;
+    q_.emplace(std::pair{t, seq_++},
+               [p = std::make_shared<pc::EventFn>(std::move(fn))] { (*p)(); });
+  }
+  void schedule_after(pc::Duration d, pc::EventFn fn) {
+    schedule_at(now_ + d, std::move(fn));
+  }
+
+  void run_until_idle() {
+    while (!q_.empty()) {
+      auto node = q_.extract(q_.begin());
+      now_ = node.key().first;
+      ++processed_;
+      node.mapped()();
+    }
+  }
+
+ private:
+  std::map<std::pair<pc::SimTime, std::uint64_t>, std::function<void()>> q_;
+  pc::SimTime now_ = 0;
+  std::uint64_t seq_ = 0;
+  std::uint64_t processed_ = 0;
+};
+
 struct Timed {
   double ns_per_event = 0;
   double cycles_per_event = 0;
@@ -66,8 +109,8 @@ struct Timed {
 
 /// Run `body`, which dispatches events on `eng`; charge wall ns and
 /// tsc cycles to the events it processed.
-template <typename Body>
-Timed timed_events(pc::Engine& eng, Body&& body) {
+template <typename EngineT, typename Body>
+Timed timed_events(EngineT& eng, Body&& body) {
   const std::uint64_t ev0 = eng.processed();
   const std::uint64_t c0 = read_tsc();
   const auto t0 = std::chrono::steady_clock::now();
@@ -87,8 +130,9 @@ Timed timed_events(pc::Engine& eng, Body&& body) {
 // dispatch leg: self-rescheduling actors at constant queue depth
 // --------------------------------------------------------------------------
 
+template <typename EngineT>
 struct Actor {
-  pc::Engine* eng;
+  EngineT* eng;
   pc::Rng* rng;
   std::uint64_t* left;
   std::uint32_t max_offset;
@@ -104,25 +148,23 @@ struct Actor {
   }
 };
 
-bench::Run churn_run(pc::QueueConfig::Mode mode, std::uint32_t max_offset,
-                     int rounds, std::uint64_t events_per_round,
-                     double* cycles_out) {
-  pc::QueueConfig cfg;
-  cfg.mode = mode;
-  pc::Engine eng(cfg);
+template <typename EngineT>
+bench::Run churn_run(std::uint32_t max_offset, int rounds,
+                     std::uint64_t events_per_round, double* cycles_out) {
+  EngineT eng;
   pc::Rng rng(0xbe7c'0de5'0000'0001ull);
 
   constexpr int kActors = 512;  // constant queue depth while draining
-  std::vector<Actor> actors(kActors);
+  std::vector<Actor<EngineT>> actors(kActors);
   std::uint64_t left = 0;
-  for (Actor& a : actors) a = Actor{&eng, &rng, &left, max_offset};
+  for (auto& a : actors) a = Actor<EngineT>{&eng, &rng, &left, max_offset};
 
   bench::Run run;
   run.warmup = 1;
   double cycles_acc = 0;
   for (int r = 0; r < rounds + run.warmup; ++r) {
     left = events_per_round;
-    for (Actor& a : actors) a.fire();  // seed the population
+    for (auto& a : actors) a.fire();  // seed the population
     const Timed t = timed_events(eng, [&] { eng.run_until_idle(); });
     if (r < run.warmup) continue;
     run.samples.push_back(t.ns_per_event);
@@ -139,10 +181,9 @@ bench::Run churn_run(pc::QueueConfig::Mode mode, std::uint32_t max_offset,
 // burst leg: B events at one instant, drained as a batch
 // --------------------------------------------------------------------------
 
-bench::Run burst_run(pc::QueueConfig::Mode mode, int rounds) {
-  pc::QueueConfig cfg;
-  cfg.mode = mode;
-  pc::Engine eng(cfg);
+template <typename EngineT>
+bench::Run burst_run(int rounds) {
+  EngineT eng;
   constexpr int kBurst = 4096;
   volatile std::uint64_t sink = 0;
 
@@ -172,10 +213,7 @@ struct ScenarioFigures {
   std::string digest;
 };
 
-ScenarioFigures scenario_run(pc::QueueConfig::Mode mode) {
-  pc::QueueConfig cfg;
-  cfg.mode = mode;
-  pc::ScopedQueueConfig scoped(cfg);
+ScenarioFigures scenario_run() {
   // 10k nodes (100 clusters x 100); 100k sessions keeps the leg a few
   // seconds — bench_scenario owns the full 1M-session scale.
   sc::ScenarioSpec spec = sc::small_world(100, 100, 100'000, 5'000'000.0, 2026);
@@ -197,7 +235,7 @@ ScenarioFigures scenario_run(pc::QueueConfig::Mode mode) {
 
 int main(int argc, char** argv) {
   bench::Session session(argc, argv, "engine");
-  std::printf("# Engine fast path: calendar queue vs std::map reference "
+  std::printf("# Engine fast path: calendar queue vs a std::map event loop "
               "(one process, ratios are machine-portable)\n");
 
   constexpr int kRounds = 9;
@@ -206,10 +244,10 @@ int main(int argc, char** argv) {
   const std::uint32_t near = pc::QueueConfig{}.ring_ticks / 2;
 
   double cal_cycles = 0, map_cycles = 0;
-  const bench::Run cal = churn_run(pc::QueueConfig::Mode::calendar, near,
-                                   kRounds, kEventsPerRound, &cal_cycles);
-  const bench::Run map = churn_run(pc::QueueConfig::Mode::map, near, kRounds,
-                                   kEventsPerRound, &map_cycles);
+  const bench::Run cal = churn_run<pc::Engine>(near, kRounds, kEventsPerRound,
+                                               &cal_cycles);
+  const bench::Run map = churn_run<MapEngine>(near, kRounds, kEventsPerRound,
+                                              &map_cycles);
   const double speedup = map.value / cal.value;
   std::printf("dispatch  calendar %7.1f ns/ev (%6.0f cyc)   map %7.1f ns/ev "
               "(%6.0f cyc)   speedup %.2fx\n",
@@ -219,8 +257,8 @@ int main(int argc, char** argv) {
   session.metric("dispatch.calendar_cycles_per_event", "cyc", cal_cycles);
   session.metric("dispatch.speedup_vs_map", "x", speedup);
 
-  const bench::Run bcal = burst_run(pc::QueueConfig::Mode::calendar, kRounds);
-  const bench::Run bmap = burst_run(pc::QueueConfig::Mode::map, kRounds);
+  const bench::Run bcal = burst_run<pc::Engine>(kRounds);
+  const bench::Run bmap = burst_run<MapEngine>(kRounds);
   const double bspeed = bmap.value / bcal.value;
   std::printf("burst     calendar %7.1f ns/ev                map %7.1f "
               "ns/ev                speedup %.2fx\n",
@@ -230,31 +268,17 @@ int main(int argc, char** argv) {
 
   // Far-future offsets: 4x to 64x the ring window, all heap-path.
   const std::uint32_t far_lo = pc::QueueConfig{}.ring_ticks * 4;
-  const bench::Run far = churn_run(pc::QueueConfig::Mode::calendar,
-                                   far_lo * 16, kRounds, kEventsPerRound,
-                                   nullptr);
+  const bench::Run far =
+      churn_run<pc::Engine>(far_lo * 16, kRounds, kEventsPerRound, nullptr);
   std::printf("far-heap  calendar %7.1f ns/ev (overflow path)\n", far.value);
   session.metric("far.calendar_ns_per_event", "ns", far);
 
-  const ScenarioFigures s_cal =
-      scenario_run(pc::QueueConfig::Mode::calendar);
-  const ScenarioFigures s_map = scenario_run(pc::QueueConfig::Mode::map);
-  if (s_cal.digest != s_map.digest) {
-    std::fprintf(stderr,
-                 "FAIL: 10k-node digest differs across queue modes "
-                 "(%s vs %s)\n",
-                 s_cal.digest.c_str(), s_map.digest.c_str());
-    return 1;
-  }
-  std::printf("scenario  10k nodes: %0.3g ev/wall-s (map %0.3g), "
-              "%0.3g ev/vs, digest %s (modes agree)\n",
-              s_cal.events_per_wall_sec, s_map.events_per_wall_sec,
-              s_cal.events_per_vsec, s_cal.digest.c_str());
-  session.metric("scenario10k.events_per_vsec", "ev/s", s_cal.events_per_vsec);
+  const ScenarioFigures sf = scenario_run();
+  std::printf("scenario  10k nodes: %0.3g ev/wall-s, %0.3g ev/vs, digest %s\n",
+              sf.events_per_wall_sec, sf.events_per_vsec, sf.digest.c_str());
+  session.metric("scenario10k.events_per_vsec", "ev/s", sf.events_per_vsec);
   session.metric("scenario10k.events_per_wall_sec", "ev/s",
-                 s_cal.events_per_wall_sec);
-  session.metric("scenario10k.map_events_per_wall_sec", "ev/s",
-                 s_map.events_per_wall_sec);
+                 sf.events_per_wall_sec);
 
   if (speedup < 2.0) {
     std::fprintf(stderr,

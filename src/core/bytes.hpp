@@ -151,16 +151,10 @@ class BytesPool {
   BytesPool(const BytesPool&) = delete;
   BytesPool& operator=(const BytesPool&) = delete;
 
-  /// Disabled, the pool degenerates to plain allocation — how the
-  /// engine's `map` reference mode reproduces the seed's per-frame
-  /// malloc/free behaviour for honest speedup ratios.
-  void set_enabled(bool on) noexcept { enabled_ = on; }
-  bool enabled() const noexcept { return enabled_; }
-
   /// A buffer of exactly `n` bytes (contents unspecified — callers
   /// overwrite).  Recycles a pooled buffer when one fits.
   Bytes acquire(std::size_t n) {
-    if (enabled_ && !free_.empty() && n <= kMaxPooledCapacity) {
+    if (!free_.empty() && n <= kMaxPooledCapacity) {
       Bytes b = std::move(free_.back());
       free_.pop_back();
       b.resize(n);
@@ -173,8 +167,8 @@ class BytesPool {
 
   /// Return a buffer to the pool (or drop it if oversized / full).
   void release(Bytes b) noexcept {
-    if (!enabled_ || b.capacity() == 0 ||
-        b.capacity() > kMaxPooledCapacity || free_.size() >= kMaxFree) {
+    if (b.capacity() == 0 || b.capacity() > kMaxPooledCapacity ||
+        free_.size() >= kMaxFree) {
       return;  // freed on scope exit
     }
     free_.push_back(std::move(b));
@@ -188,7 +182,6 @@ class BytesPool {
   std::vector<Bytes> free_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  bool enabled_ = true;
 };
 
 }  // namespace padico::core

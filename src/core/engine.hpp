@@ -8,9 +8,9 @@
 //
 // The queue is a two-level calendar queue (near-future ring of per-ns
 // buckets + far-future heap; see core/event_queue.hpp) with pooled,
-// allocation-free event nodes; `QueueConfig::Mode::map` keeps the
-// original std::map queue alive as a reference mode for benches and
-// determinism cross-checks.  See DESIGN.md "Engine internals".
+// allocation-free event nodes.  The seed's std::map queue lives on only
+// as the ordering oracle of tests/test_event_queue.cpp.  See DESIGN.md
+// "Engine internals".
 #pragma once
 
 #include <cstddef>
@@ -34,15 +34,9 @@ class Engine {
 
   /// Default-constructed engines take the process-wide
   /// `default_queue_config()` — how tests and benches run engines
-  /// built deep inside Grid/Scenario under another queue mode.
+  /// built deep inside Grid/Scenario under another ring width.
   Engine() : Engine(default_queue_config()) {}
-  explicit Engine(const QueueConfig& cfg) : queue_(cfg) {
-    // Reference mode reproduces the seed engine end to end: std::map
-    // event queue AND no frame-buffer recycling.
-    if (queue_.mode() == QueueConfig::Mode::map) {
-      bytes_pool_.set_enabled(false);
-    }
-  }
+  explicit Engine(const QueueConfig& cfg) : queue_(cfg) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 

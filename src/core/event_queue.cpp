@@ -11,7 +11,6 @@ QueueConfig& default_queue_config() noexcept {
 }
 
 EventQueue::EventQueue(const QueueConfig& cfg) : cfg_(cfg) {
-  if (cfg_.mode == QueueConfig::Mode::map) return;
   std::uint32_t n = std::max<std::uint32_t>(cfg_.ring_ticks, 1);
   n = std::bit_ceil(n);
   cfg_.ring_ticks = n;
@@ -137,14 +136,6 @@ void EventQueue::migrate_overflow() noexcept {
 
 void EventQueue::push(SimTime t, std::uint64_t seq, EventFn fn) {
   ++size_;
-  if (cfg_.mode == QueueConfig::Mode::map) {
-    // One heap allocation per event, like the seed's std::function
-    // targets; the shared_ptr fits std::function's SBO so the count
-    // stays at exactly one.
-    map_.emplace(std::pair{t, seq},
-                 [p = std::make_shared<EventFn>(std::move(fn))] { (*p)(); });
-    return;
-  }
   if (t - base_ < cfg_.ring_ticks) {
     const std::uint32_t bucket = static_cast<std::uint32_t>(t) & mask_;
     const std::uint32_t node = alloc_node(t, seq, std::move(fn));
@@ -158,14 +149,6 @@ void EventQueue::push(SimTime t, std::uint64_t seq, EventFn fn) {
 
 bool EventQueue::pop(SimTime& t_out, EventFn& fn_out) {
   if (size_ == 0) return false;
-  if (cfg_.mode == QueueConfig::Mode::map) {
-    auto node = map_.extract(map_.begin());
-    t_out = node.key().first;
-    fn_out = EventFn(std::move(node.mapped()));
-    base_ = t_out;
-    --size_;
-    return true;
-  }
 
   std::uint32_t bucket = cur_bucket_;
   if (bucket == kNil) {

@@ -18,9 +18,10 @@
 //   * a NODE POOL with a freelist: steady-state scheduling allocates
 //     nothing.
 //
-// `mode = map` keeps the seed's std::map queue as a living reference:
-// benches run both modes in one process and gate the speedup ratio,
-// and determinism tests prove the digests match bit-for-bit.
+// The seed's std::map queue survives only as a test oracle
+// (`MapOracle` in tests/test_event_queue.cpp) and a bench-local rival
+// in bench_engine; the recorded scenario digests pin that this queue
+// pops in exactly its order.
 //
 // Ordering contract (identical to the map): pop order is strictly
 // increasing (t, seq); the caller assigns seq monotonically and never
@@ -29,9 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -46,11 +44,6 @@ namespace padico::core {
 using EventFn = InplaceFn<48>;
 
 struct QueueConfig {
-  enum class Mode : std::uint8_t {
-    calendar,  // ring + overflow heap (the fast path)
-    map,       // the seed's std::map queue, kept as a reference mode
-  };
-  Mode mode = Mode::calendar;
   /// Width of the near-future window in ticks (= nanoseconds).  Must
   /// be a power of two; 1 is the degenerate "everything in the heap
   /// except the current instant" configuration the determinism tests
@@ -89,11 +82,9 @@ class EventQueue {
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
 
-  QueueConfig::Mode mode() const noexcept { return cfg_.mode; }
   std::uint32_t ring_ticks() const noexcept { return cfg_.ring_ticks; }
 
-  /// Events currently in the near ring / the far heap (map mode
-  /// reports everything as overflow — there is no ring).
+  /// Events currently in the near ring / the far heap.
   std::size_t ring_size() const noexcept { return ring_count_; }
   std::size_t overflow_size() const noexcept {
     return size_ - ring_count_;
@@ -158,13 +149,6 @@ class EventQueue {
   std::size_t occupied_ = 0;
   // Cached bucket of the instant being drained (the batch fast path).
   std::uint32_t cur_bucket_ = kNil;
-
-  // Reference mode storage.  Seed-faithful on purpose: one RB-tree
-  // node per event AND one closure allocation per event (the
-  // shared_ptr shim restores the std::function heap hit the seed's
-  // `map<Key, std::function>` paid — InplaceFn would otherwise hide
-  // it and flatter the reference).
-  std::map<std::pair<SimTime, std::uint64_t>, std::function<void()>> map_;
 };
 
 }  // namespace padico::core

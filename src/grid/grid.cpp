@@ -158,40 +158,6 @@ void Grid::build(const BuildOptions& options) {
   for (const auto& node : nodes_) {
     node->chooser().set_wan_method(options_.wan_method);
   }
-
-  // Subscribe to every medium's change notifications so runtime churn
-  // (detach / link flap / model swap) invalidates cached chooser
-  // decisions — targeted, not wholesale.  Networks are all declared
-  // before build(), so this covers the fabric for the grid's lifetime;
-  // the fabric outlives the nodes (member order), so the listeners
-  // never fire on a dangling grid.
-  for (std::size_t n = 0; n < fabric_.network_count(); ++n) {
-    const auto net_id = static_cast<simnet::NetId>(n);
-    fabric_.network(net_id).add_change_listener(
-        [this, net_id](simnet::Network::Change change, core::NodeId node) {
-          on_network_change(net_id, change, node);
-        });
-  }
-}
-
-void Grid::on_network_change(simnet::NetId net,
-                             simnet::Network::Change change,
-                             core::NodeId node) {
-  if (change == simnet::Network::Change::detach) {
-    // Only paths TOWARDS the detached node changed; every other cached
-    // decision is still exactly what a fresh ranking would produce.
-    for (const auto& n : nodes_) n->chooser().invalidate(node);
-    return;
-  }
-  // Link state or model changed on one medium: decisions of the nodes
-  // attached to it may rank differently (e.g. a loss-rate flip toggles
-  // the vrp preference); everyone else's decisions only involve this
-  // medium through those same nodes' own choosers.
-  for (const auto& [net_id, node_id] : attachments_) {
-    if (net_id == net && node_id < nodes_.size()) {
-      nodes_[node_id]->chooser().invalidate();
-    }
-  }
 }
 
 Grid::Planned Grid::plan_attachment(simnet::NetId net, core::NodeId node) {
@@ -310,11 +276,6 @@ void Grid::attach_live(simnet::NetId net, core::NodeId node) {
   attachments_.emplace_back(net, node);
   const Planned plan = plan_attachment(net, node);
   wire_attachment(net, node, plan);
-  // Peers may hold "unreachable" (or differently-routed) decisions for
-  // this node; only paths TOWARDS it changed.  (The node's own chooser
-  // was fully invalidated already: add_driver fires
-  // on_drivers_changed.)
-  for (const auto& n : nodes_) n->chooser().invalidate(node);
 }
 
 void Grid::remove_node_live(core::NodeId node) {
@@ -325,8 +286,6 @@ void Grid::remove_node_live(core::NodeId node) {
     throw std::out_of_range("Grid::remove_node_live(): node " +
                             std::to_string(node) + " not alive");
   }
-  // Each detach notifies the networks' change listeners, which drop
-  // exactly the cached decisions towards `node` on every chooser.
   for (const auto& [net_id, node_id] : attachments_) {
     if (node_id == node) fabric_.network(net_id).detach(node);
   }

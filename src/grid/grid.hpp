@@ -225,7 +225,7 @@ class Grid {
   /// Attach a live node to `net` and wire the same driver stack
   /// build() would have wired for this (network, node) pair — SAN
   /// stack for "madio" profiles; NetDriver plus pstream/adoc/vrp
-  /// adapters for IP profiles.  Every chooser cache is invalidated, so
+  /// adapters for IP profiles.  Choosers rank the live registry, so
   /// the next method-less connect anywhere sees the new reachability.
   void attach_live(simnet::NetId net, core::NodeId node);
 
@@ -266,14 +266,6 @@ class Grid {
   /// Instantiate the planned driver stack on `node` for `net`.
   void wire_attachment(simnet::NetId net, core::NodeId node,
                        const Planned& plan);
-
-  /// Churn hook, fired synchronously by every network's change
-  /// notification: invalidates cached chooser decisions with matching
-  /// precision (a detach drops only decisions towards the detached
-  /// node; an admin/model change drops the decisions of nodes attached
-  /// to that medium).
-  void on_network_change(simnet::NetId net, simnet::Network::Change change,
-                         core::NodeId node);
 
   core::Engine engine_;
   simnet::Fabric fabric_{engine_};

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fastpath.hpp"
 #include "core/result.hpp"
 #include "obs/category.hpp"
 #include "vlink/link.hpp"
@@ -53,10 +52,6 @@ struct Scenario::Session {
   std::uint32_t rx_need = 0;  // reply bytes still missing
   bool counted = false;       // already tallied closed/failed
   std::shared_ptr<vio::Socket> sock;
-  // Coroutine-client mode only: the session's driver coroutine.  The
-  // frame dies with the session (Task destroys a suspended frame
-  // safely, so a hung session swept at end of run cleans up too).
-  core::Task task;
 };
 
 struct Scenario::ServerConn {
@@ -73,7 +68,6 @@ struct Scenario::ServerConn {
 
 Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)) {
   spec_.validate();
-  coro_client_ = !core::default_fastpath_config().inline_vio;
 
   const FlavorProfile fp = flavor_profile(spec_.workload.flavor);
   cost_ = fp.cost;
@@ -179,14 +173,6 @@ void Scenario::open_session(std::uint64_t id) {
   s.rx_need = reply_wire_;
   grid_.engine().tracer().instant(obs::Cat::scenario, "session.open", client);
 
-  if (coro_client_) {
-    // Reference mode: the coroutine starts eagerly, so the connect
-    // goes out in this same engine event, exactly like the inline
-    // call below.  (A synchronous connect failure finishes the
-    // coroutine before this assignment — also fine.)
-    s.task = client_coro(id);
-    return;
-  }
   grid_.node(client).vlink().connect(
       {server, kServerPort},
       [this, id](core::Result<std::unique_ptr<vlink::Link>> r) {
@@ -251,91 +237,6 @@ void Scenario::on_client_ready(std::uint64_t id) {
       complete_session(id);
     }
   });
-}
-
-core::Completion<void> Scenario::cpu_after(core::NodeId node,
-                                           core::Duration cost) {
-  core::Completion<void> c;
-  if (cost == 0) {
-    // Like after_cpu: free work completes inline, no engine event.
-    c.complete();
-    return c;
-  }
-  grid_.engine().schedule_at(cpu_reserve(node, cost),
-                             [c]() mutable { c.complete(); });
-  return c;
-}
-
-core::Task Scenario::client_coro(std::uint64_t id) {
-  // The inline callback chain, written straight.  Every vlink call and
-  // CPU reservation happens at the same virtual instant as in inline
-  // mode, and read_some resumes from the same delivery events the
-  // ready handler fires from, so both modes are digest-identical.
-  // The session is re-found after every await (the map's nodes are
-  // address-stable, but the guards must stop a counted session exactly
-  // where the inline guards would).
-  {
-    Session& s = sessions_.find(id)->second;
-    vio::ConnectResult r = co_await vio::connect(
-        grid_.node(s.client).vlink(), {s.server, kServerPort});
-    auto it = sessions_.find(id);
-    if (it == sessions_.end() || it->second.counted) {
-      if (r.ok()) {
-        // Session already settled; tear the stray socket down from
-        // outside the delivery chain.
-        grid_.engine().post([orphan = *r] {});
-      }
-      co_return;
-    }
-    if (!r.ok()) {
-      fail_session(id, "session.fail.connect");
-      co_return;
-    }
-    it->second.sock = std::move(*r);
-  }
-  for (;;) {
-    {  // request
-      Session& s = sessions_.find(id)->second;
-      const bool fin = s.done + 1 == spec_.workload.requests_per_session;
-      co_await cpu_after(s.client, cost_.send_cost(request_wire_));
-      auto it = sessions_.find(id);
-      if (it == sessions_.end() || it->second.counted) co_return;
-      request_scratch_[0] = fin ? 1 : 0;
-      it->second.sock->write(core::view_of(request_scratch_));
-      payload_tx_ += request_wire_;
-      bytes_rate_->add(request_wire_);
-    }
-    for (;;) {  // reply bytes (loss can truncate deliveries)
-      core::Bytes got =
-          co_await sessions_.find(id)->second.sock->link().read_some();
-      auto it = sessions_.find(id);
-      if (it == sessions_.end() || it->second.counted) co_return;
-      Session& s = it->second;
-      payload_rx_ += got.size();
-      bytes_rate_->add(got.size());
-      if (got.size() < s.rx_need) {
-        s.rx_need -= static_cast<std::uint32_t>(got.size());
-        continue;
-      }
-      // Full reply in (a session never pipelines, so no overshoot).
-      s.rx_need = 0;
-      break;
-    }
-    {  // reply processed
-      co_await cpu_after(sessions_.find(id)->second.client,
-                         cost_.recv_cost(reply_wire_));
-      auto it = sessions_.find(id);
-      if (it == sessions_.end() || it->second.counted) co_return;
-      Session& s = it->second;
-      ++s.done;
-      if (s.done < spec_.workload.requests_per_session) {
-        s.rx_need = reply_wire_;
-        continue;
-      }
-      complete_session(id);
-      co_return;
-    }
-  }
 }
 
 void Scenario::complete_session(std::uint64_t id) {

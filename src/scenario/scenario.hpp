@@ -32,7 +32,6 @@
 
 #include "core/bytes.hpp"
 #include "core/rng.hpp"
-#include "core/task.hpp"
 #include "core/time.hpp"
 #include "grid/grid.hpp"
 #include "middleware/personality.hpp"
@@ -114,18 +113,6 @@ class Scenario {
   void open_session(std::uint64_t id);
   void send_request(std::uint64_t id);
   void on_client_ready(std::uint64_t id);
-
-  /// Reference client: the same session state machine as the inline
-  /// callbacks, written as a per-session coroutine (connect, then
-  /// request / await-reply round trips).  Selected by
-  /// core::FastPathConfig::inline_vio == false; digest-identical to
-  /// the inline path — every vlink call, CPU reservation and engine
-  /// event happens at the same virtual instant in both modes.
-  core::Task client_coro(std::uint64_t id);
-  /// Awaitable after_cpu: completes inline when cost == 0, else in
-  /// one engine event at the cpu_reserve instant — the exact event
-  /// pattern of after_cpu, so both client modes schedule identically.
-  core::Completion<void> cpu_after(core::NodeId node, core::Duration cost);
   void complete_session(std::uint64_t id);
   void fail_session(std::uint64_t id, const char* why);
   void retire_session(std::uint64_t id);
@@ -191,10 +178,6 @@ class Scenario {
   std::uint64_t churn_applied_ = 0;
   std::uint64_t digest_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
   bool ran_ = false;
-  // Snapshot of !FastPathConfig::inline_vio at construction: drive
-  // clients with the coroutine reference path instead of inline
-  // callbacks.
-  bool coro_client_ = false;
 
   // obs instrumentation (owned by the engine's registry).
   obs::Rate* sessions_rate_;

@@ -1,36 +1,9 @@
 #include "selector/selector.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "core/fastpath.hpp"
-
 namespace padico::selector {
-
-Chooser::Chooser(vlink::VLink& vlink)
-    : vlink_(&vlink),
-      cache_on_(core::default_fastpath_config().selector_cache) {
-  obs::Registry& reg = vlink.host().engine().obs();
-  obs_hits_ = &reg.counter("selector.cache.hits");
-  obs_misses_ = &reg.counter("selector.cache.misses");
-  obs_evictions_ = &reg.counter("selector.cache.evictions");
-}
-
-void Chooser::invalidate() {
-  if (!cache_.empty()) {
-    evictions_ += cache_.size();
-    obs_evictions_->add(cache_.size());
-    cache_.clear();
-  }
-}
-
-void Chooser::invalidate(core::NodeId dst) {
-  if (cache_.erase(dst) != 0) {
-    ++evictions_;
-    obs_evictions_->add();
-  }
-}
 
 Chooser::Decision Chooser::compute(core::NodeId dst) const {
   Decision d;
@@ -83,26 +56,10 @@ Chooser::Decision Chooser::compute(core::NodeId dst) const {
   return d;
 }
 
-const Chooser::Decision& Chooser::decide(core::NodeId dst) {
-  ++lookups_;
-  if (!cache_on_) {
-    obs_misses_->add();
-    scratch_ = compute(dst);
-    return scratch_;
-  }
-  if (auto it = cache_.find(dst); it != cache_.end()) {
-    ++hits_;
-    obs_hits_->add();
-    return it->second;
-  }
-  obs_misses_->add();
-  return cache_.emplace(dst, compute(dst)).first->second;
-}
-
-NetClass Chooser::classify(core::NodeId dst) { return decide(dst).cls; }
+NetClass Chooser::classify(core::NodeId dst) { return compute(dst).cls; }
 
 std::string Chooser::choose(core::NodeId dst) {
-  const Decision& d = decide(dst);
+  const Decision d = compute(dst);
   if (d.cls == NetClass::loopback) return "loopback";
   if (d.driver == nullptr) {
     throw std::runtime_error("selector: no driver reaches node " +
@@ -112,19 +69,17 @@ std::string Chooser::choose(core::NodeId dst) {
 }
 
 bool Chooser::path_secure(core::NodeId dst) {
-  const Decision& d = decide(dst);
+  const Decision d = compute(dst);
   if (d.cls == NetClass::loopback) return true;
   return d.driver != nullptr && d.driver->has_cap(kCapSecure);
 }
 
 void Chooser::set_wan_method(std::string method) {
-  if (method == wan_method_) return;
   wan_method_ = std::move(method);
-  invalidate();
 }
 
 vlink::Driver* Chooser::select(core::NodeId dst, core::Error* error) {
-  const Decision& d = decide(dst);
+  const Decision d = compute(dst);
   if (d.driver != nullptr) return d.driver;
   if (error) {
     if (d.cls == NetClass::loopback) {

@@ -29,29 +29,14 @@
 //     trusted infrastructure (kCapSecure, derived from the link
 //     profile): SAN/LAN yes, WAN no, loopback trivially yes.
 //
-// Decisions are cached per destination in a hash map (the connect
-// path probes it once per session open; nothing iterates it).  The
-// cache is invalidated when the driver registry changes
-// (VLink::add_driver notifies the installed policy) and when the WAN
-// override changes; runtime topology churn invalidates *targeted*
-// entries — the Grid subscribes to each network's change
-// notifications and calls `invalidate(dst)` for a detached node, full
-// `invalidate()` only on the choosers of nodes attached to a medium
-// whose link state or model changed.  Caching is config-selectable
-// (core::FastPathConfig::selector_cache); with it off every lookup
-// recomputes, the kept reference behaviour bench_session_open races.
-//
-// Hit / miss / eviction totals are published as obs counters
-// (`selector.cache.hits` / `.misses` / `.evictions`) on the engine's
-// registry, so cache behaviour shows up in bench snapshots and
-// Perfetto exports next to the vlink traffic counters.
+// Every lookup recomputes the decision from the live driver registry
+// (a handful of drivers per node), so runtime churn — a node detached,
+// a medium taken down, a WAN model swapped — is visible on the very
+// next connect with no invalidation protocol to keep in step.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 
-#include "obs/registry.hpp"
 #include "selector/net_class.hpp"
 #include "vlink/vlink.hpp"
 
@@ -60,10 +45,9 @@ namespace padico::selector {
 class Chooser final : public vlink::SelectionPolicy {
  public:
   /// Ranks `vlink`'s registry; borrows it (the grid::Node owns both).
-  /// Snapshots core::default_fastpath_config().selector_cache.
-  explicit Chooser(vlink::VLink& vlink);
+  explicit Chooser(vlink::VLink& vlink) : vlink_(&vlink) {}
 
-  /// Distance class of `dst` as seen from this node (cached).
+  /// Distance class of `dst` as seen from this node.
   NetClass classify(core::NodeId dst);
 
   /// Method name choose/select would use for `dst`: a registered
@@ -81,23 +65,8 @@ class Chooser final : public vlink::SelectionPolicy {
   void set_wan_method(std::string method);
   const std::string& wan_method() const noexcept { return wan_method_; }
 
-  /// Drop every cached decision.
-  void invalidate();
-
-  /// Drop the cached decision for one destination (targeted churn
-  /// invalidation: one node detached, only paths *to it* changed).
-  void invalidate(core::NodeId dst);
-
   // SelectionPolicy: the connect path of VLink delegates here.
   vlink::Driver* select(core::NodeId dst, core::Error* error) override;
-  void on_drivers_changed() override { invalidate(); }
-
-  // Cache introspection (tests and diagnostics).
-  std::size_t cache_size() const noexcept { return cache_.size(); }
-  std::uint64_t lookups() const noexcept { return lookups_; }
-  std::uint64_t hits() const noexcept { return hits_; }
-  std::uint64_t misses() const noexcept { return lookups_ - hits_; }
-  std::uint64_t evictions() const noexcept { return evictions_; }
 
  private:
   struct Decision {
@@ -105,21 +74,10 @@ class Chooser final : public vlink::SelectionPolicy {
     vlink::Driver* driver = nullptr;  // null: loopback or unreachable
   };
 
-  const Decision& decide(core::NodeId dst);
   Decision compute(core::NodeId dst) const;
 
   vlink::VLink* vlink_;
   std::string wan_method_;
-  std::unordered_map<core::NodeId, Decision> cache_;
-  bool cache_on_;
-  Decision scratch_;  // decide()'s result slot when the cache is off
-  std::uint64_t lookups_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t evictions_ = 0;
-  // Engine-wide cache totals (shared by every chooser on the engine).
-  obs::Counter* obs_hits_;
-  obs::Counter* obs_misses_;
-  obs::Counter* obs_evictions_;
 };
 
 }  // namespace padico::selector

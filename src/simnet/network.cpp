@@ -37,40 +37,7 @@ void Network::attach(core::NodeId node) {
 
 void Network::detach(core::NodeId node) {
   if (node < base_ || node - base_ >= endpoints_.size()) return;
-  Endpoint& e = endpoints_[node - base_];
-  const bool was_attached = e.attached;
-  e = Endpoint{};  // drops the recv closure too
-  if (was_attached) notify(Change::detach, node);
-}
-
-void Network::set_up(bool up) {
-  if (up == up_) return;
-  up_ = up;
-  notify(Change::admin, kAllNodes);
-}
-
-void Network::set_model(LinkModel model) {
-  model_ = std::move(model);
-  notify(Change::model, kAllNodes);
-}
-
-std::uint64_t Network::add_change_listener(ChangeFn fn) {
-  const std::uint64_t token = next_listener_token_++;
-  change_listeners_.emplace_back(token, std::move(fn));
-  return token;
-}
-
-void Network::remove_change_listener(std::uint64_t token) {
-  std::erase_if(change_listeners_,
-                [token](const auto& entry) { return entry.first == token; });
-}
-
-void Network::notify(Change change, core::NodeId node) {
-  // Index loop: a listener reacting by subscribing elsewhere must not
-  // invalidate our iterator (removal mid-notify is not supported).
-  for (std::size_t i = 0; i < change_listeners_.size(); ++i) {
-    change_listeners_[i].second(change, node);
-  }
+  endpoints_[node - base_] = Endpoint{};  // drops the recv closure too
 }
 
 bool Network::attached(core::NodeId node) const {

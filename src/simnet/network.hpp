@@ -45,16 +45,6 @@ class Network {
   /// Called on the destination node when a message arrives.
   using RecvFn = std::function<void(core::NodeId src, core::Bytes payload)>;
 
-  /// What changed on the medium.  `detach` names the node removed;
-  /// `admin` (link up/down flip) and `model` (profile swap) affect
-  /// every attached node and report kAllNodes.  Layers above use these
-  /// to invalidate cached routing state with matching precision: a
-  /// detach drops only decisions *towards* that node, a model swap
-  /// drops every decision of nodes on this medium.
-  enum class Change : std::uint8_t { detach, admin, model };
-  static constexpr core::NodeId kAllNodes = ~core::NodeId{0};
-  using ChangeFn = std::function<void(Change, core::NodeId)>;
-
   Network(core::Engine& engine, LinkModel model, std::uint64_t seed);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -74,9 +64,8 @@ class Network {
 
   /// Administrative link state (churn: link flap).  While down, every
   /// send fails unreachable; messages already on the wire still
-  /// deliver (they left the NIC before the fault).  Notifies change
-  /// listeners only when the state actually flips.
-  void set_up(bool up);
+  /// deliver (they left the NIC before the fault).
+  void set_up(bool up) noexcept { up_ = up; }
   bool up() const noexcept { return up_; }
 
   /// Swap the link profile at runtime (churn: loss bursts, WAN
@@ -84,14 +73,8 @@ class Network {
   /// observability identity (counters / trace span keyed by the
   /// ORIGINAL profile name) all survive the swap, so a temporary
   /// degradation is restore(old_model) away and metrics stay in one
-  /// series.  Notifies change listeners.
-  void set_model(LinkModel model);
-
-  /// Subscribe to topology / link-state changes.  Returns a token for
-  /// remove_change_listener.  Listeners fire synchronously from the
-  /// mutating call, after the medium's state has been updated.
-  std::uint64_t add_change_listener(ChangeFn fn);
-  void remove_change_listener(std::uint64_t token);
+  /// series.
+  void set_model(LinkModel model) { model_ = std::move(model); }
 
   /// Install the receive callback for `node` (one per node; drivers own
   /// demultiplexing).  Messages arriving with no receiver are dropped.
@@ -130,8 +113,6 @@ class Network {
     bool attached = false;
   };
 
-  void notify(Change change, core::NodeId node);
-
   /// Endpoint slot for `node`, or nullptr when not attached.  Node ids
   /// on one medium are dense (clusters are built with consecutive
   /// ids), so the map became a direct-indexed vector offset by the
@@ -156,8 +137,6 @@ class Network {
   std::uint64_t messages_dropped_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t frames_dropped_ = 0;
-  std::vector<std::pair<std::uint64_t, ChangeFn>> change_listeners_;
-  std::uint64_t next_listener_token_ = 1;
   // obs instrumentation, keyed by the profile name so a multi-network
   // fabric keeps its media apart ("net.SAN.msgs", "net.WAN.bytes"...).
   obs::Counter* obs_msgs_;

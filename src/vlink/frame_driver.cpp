@@ -3,8 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "core/fastpath.hpp"
-
 namespace padico::vlink {
 
 // ---------------------------------------------------------------------------
@@ -61,36 +59,14 @@ FrameDriver::~FrameDriver() {
   for (auto& [conn, link] : links_) link->detach();
 }
 
-void FrameDriver::enable_fast_open() {
-  fast_open_ = core::default_fastpath_config().fast_open;
-}
-
-void FrameDriver::invalidate_intents(core::NodeId node) {
-  std::erase_if(intents_, [node](std::uint64_t key) {
-    return (key >> 16) == node;
-  });
-}
-
 void FrameDriver::listen(core::Port port, AcceptFn on_accept) {
-  // Value-assignment keeps an existing entry's address stable, so the
-  // MRU pointer (if it names this port) keeps working and now sees the
-  // new callback.
   listeners_[port] = std::move(on_accept);
 }
 
-void FrameDriver::unlisten(core::Port port) {
-  if (mru_fn_ != nullptr && mru_port_ == port) mru_fn_ = nullptr;
-  listeners_.erase(port);
-}
+void FrameDriver::unlisten(core::Port port) { listeners_.erase(port); }
 
 void FrameDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
-  // Fast-open: this (node, port) accepted before and the transport has
-  // not told us reachability shrank since, so the reaches() precheck
-  // (a registry/attachment probe on some transports) is redundant.  A
-  // stale intent is impossible by construction — see enable_fast_open.
-  const bool fast =
-      fast_open_ && intents_.contains(intent_key(remote.node, remote.port));
-  if (!fast && !reaches(remote.node)) {
+  if (!reaches(remote.node)) {
     on_connect(core::Result<std::unique_ptr<Link>>::err(
         core::Status::unreachable, name() + ": node " +
                                        std::to_string(remote.node) +
@@ -126,38 +102,20 @@ void FrameDriver::handle_frame(core::NodeId src, core::ByteView frame) {
 
   switch (h.type) {
     case wire::FrameType::connect: {
-      // Demux: session-open storms hammer one well-known port, so try
-      // the most-recently-used listener slot before the hash probe.
-      const AcceptFn* accept_fn = nullptr;
-      if (fast_open_ && mru_fn_ != nullptr && mru_port_ == h.dst_port) {
-        accept_fn = mru_fn_;
-      } else {
-        auto lit = listeners_.find(h.dst_port);
-        if (lit == listeners_.end()) {
-          wire::Header r{wire::FrameType::refuse, h.dst_port, h.src_port,
-                         host_->id(), h.conn_id};
-          emit(src, r, {});
-          return;
-        }
-        accept_fn = &lit->second;
-        if (fast_open_) {
-          mru_port_ = h.dst_port;
-          mru_fn_ = accept_fn;
-        }
+      auto lit = listeners_.find(h.dst_port);
+      if (lit == listeners_.end()) {
+        wire::Header r{wire::FrameType::refuse, h.dst_port, h.src_port,
+                       host_->id(), h.conn_id};
+        emit(src, r, {});
+        return;
       }
       auto link = std::make_unique<FrameLink>(*this, src, h.dst_port,
                                               h.src_port, h.conn_id);
       links_[h.conn_id] = link.get();
-      if (fast_open_) {
-        // Prime the data-frame MRU: the request bytes follow the
-        // connect on this very connection.
-        mru_conn_ = h.conn_id;
-        mru_link_ = link.get();
-      }
       wire::Header a{wire::FrameType::accept, h.dst_port, h.src_port,
                      host_->id(), h.conn_id};
       emit(src, a, {});
-      (*accept_fn)(std::move(link));
+      lit->second(std::move(link));
       return;
     }
     case wire::FrameType::accept: {
@@ -165,16 +123,9 @@ void FrameDriver::handle_frame(core::NodeId src, core::ByteView frame) {
       if (cit == connecting_.end()) return;
       ConnectFn cb = std::move(cit->second);
       connecting_.erase(cit);
-      // In the accept frame src_port carries the peer's listening
-      // port: exactly the (node, port) a future connect will revisit.
-      if (fast_open_) intents_.insert(intent_key(src, h.src_port));
       std::unique_ptr<Link> link = std::make_unique<FrameLink>(
           *this, src, h.dst_port, h.src_port, h.conn_id);
       links_[h.conn_id] = static_cast<FrameLink*>(link.get());
-      if (fast_open_) {
-        mru_conn_ = h.conn_id;
-        mru_link_ = static_cast<FrameLink*>(link.get());
-      }
       cb(std::move(link));
       return;
     }
@@ -183,36 +134,21 @@ void FrameDriver::handle_frame(core::NodeId src, core::ByteView frame) {
       if (cit == connecting_.end()) return;
       ConnectFn cb = std::move(cit->second);
       connecting_.erase(cit);
-      // The peer stopped accepting here; drop any recorded intent so
-      // the next connect does the full precheck again.
-      intents_.erase(intent_key(src, h.src_port));
       cb(core::Result<std::unique_ptr<Link>>::err(
           core::Status::refused,
           name() + ": connection refused by node " + std::to_string(src)));
       return;
     }
     case wire::FrameType::data: {
-      // Demux: stream frames arrive in per-connection bursts, so the
-      // MRU slot usually short-circuits the hash probe.
-      FrameLink* target = nullptr;
-      if (fast_open_ && mru_link_ != nullptr && mru_conn_ == h.conn_id) {
-        target = mru_link_;
-      } else {
-        auto it = links_.find(h.conn_id);
-        if (it == links_.end()) return;  // stale connection; drop
-        target = it->second;
-        if (fast_open_) {
-          mru_conn_ = h.conn_id;
-          mru_link_ = target;
-        }
-      }
+      auto it = links_.find(h.conn_id);
+      if (it == links_.end()) return;  // stale connection; drop
       obs_rx_frames_->add();
       obs_rx_bytes_->add(payload.size());
       // The rx span covers stream reassembly plus every continuation
       // the delivery resumes.
       obs::Scope scope(host_->engine().tracer(), obs::Cat::vlink, "vlink.rx",
                        host_->id());
-      target->receive(payload);
+      it->second->receive(payload);
       return;
     }
     case wire::FrameType::header:
@@ -223,7 +159,6 @@ void FrameDriver::handle_frame(core::NodeId src, core::ByteView frame) {
 }
 
 void FrameDriver::forget(std::uint64_t conn_id) {
-  if (mru_link_ != nullptr && mru_conn_ == conn_id) mru_link_ = nullptr;
   links_.erase(conn_id);
   on_connection_closed(conn_id);
 }

@@ -10,22 +10,14 @@
 // simulated network; MadIODriver emits through the MadIO arbitration
 // stack.
 //
-// Fast-open (core::FastPathConfig::fast_open, opted into per driver
-// via enable_fast_open()): a connection-intent table remembers
-// (node, port) pairs that accepted a connect before, so a revisited
-// connect skips the reaches() precheck, and the connect demux consults
-// a most-recently-used listener slot before probing the port table.
-// Wall-clock only — the wire still carries the same one-RTT
-// connect/accept exchange at the same virtual instants.  Soundness
-// rests on the transport invalidating intents whenever its
-// reachability can shrink (NetDriver does so on network detach
-// notifications); drivers whose reachability shifts out-of-band simply
-// do not opt in.
+// Every connect runs the transport's reaches() precheck, and every
+// received frame demuxes through one hash probe (listeners by port for
+// connects, links by connection id for data), so there is no cached
+// reachability or demux state that churn could leave stale.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "core/host.hpp"
 #include "vlink/driver.hpp"
@@ -50,18 +42,6 @@ class FrameDriver : public Driver {
 
   core::Host& host() const noexcept { return *host_; }
 
-  /// Opt into the lean connect handshake (no-op when the process
-  /// config has fast_open off).  Call ONLY from transports that also
-  /// call invalidate_intents() whenever their reachability can shrink.
-  void enable_fast_open();
-
-  /// Drop every recorded connection intent (reachability changed in a
-  /// way the per-node overload cannot express).
-  void invalidate_intents() { intents_.clear(); }
-
-  /// Drop the recorded intents towards one peer (that node detached).
-  void invalidate_intents(core::NodeId node);
-
   /// Transport hook: deliver one encoded frame to `dst`.
   virtual void emit(core::NodeId dst, const wire::Header& h,
                     core::ByteView payload) = 0;
@@ -85,34 +65,14 @@ class FrameDriver : public Driver {
 
   void forget(std::uint64_t conn_id);
 
-  /// Intent key for one (peer node, peer port) pair.
-  static constexpr std::uint64_t intent_key(core::NodeId node,
-                                            core::Port port) noexcept {
-    return (static_cast<std::uint64_t>(node) << 16) | port;
-  }
-
   core::Host* host_;
   // Per-frame lookups (every data frame probes links_, every connect
   // probes listeners_) — hash maps, not trees.  Nothing
   // event-ordering-dependent ever iterates them: only the destructor
-  // walks links_, to detach, and invalidate_intents(node) sweeps
-  // intents_ (a pure cache).
+  // walks links_, to detach.
   std::unordered_map<core::Port, AcceptFn> listeners_;
   std::unordered_map<std::uint64_t, FrameLink*> links_;
   std::unordered_map<std::uint64_t, ConnectFn> connecting_;
-  // Fast-open state: (node, port) pairs that accepted before, and the
-  // most-recently-accepted listener (map values are node-based, so the
-  // pointer survives rehashing; listen() value-assigns in place).
-  std::unordered_set<std::uint64_t> intents_;
-  bool fast_open_ = false;
-  core::Port mru_port_ = 0;
-  const AcceptFn* mru_fn_ = nullptr;
-  // Data-frame demux MRU: stream traffic arrives in per-connection
-  // bursts, so the last link demuxed usually serves the next frame too
-  // (FrameLink objects are heap-held — the pointer survives rehashes;
-  // forget() clears a matching slot before erasing).
-  std::uint64_t mru_conn_ = 0;
-  FrameLink* mru_link_ = nullptr;
   std::uint64_t next_conn_ = 1;
   std::uint64_t malformed_ = 0;
   core::Port next_ephemeral_ = 49152;

@@ -10,22 +10,9 @@ NetDriver::NetDriver(core::Host& host, simnet::Network& net, std::string name)
   net_->set_receiver(host.id(), [this](core::NodeId src, core::Bytes msg) {
     on_message(src, std::move(msg));
   });
-  // reaches() is host-exclusion plus Network::attached(), and only a
-  // detach can shrink the latter — so fast-open is sound here as long
-  // as a detach drops the intents towards the detached node.
-  enable_fast_open();
-  change_token_ = net_->add_change_listener(
-      [this](simnet::Network::Change change, core::NodeId node) {
-        if (change == simnet::Network::Change::detach) {
-          invalidate_intents(node);
-        }
-      });
 }
 
-NetDriver::~NetDriver() {
-  net_->remove_change_listener(change_token_);
-  net_->set_receiver(host().id(), nullptr);
-}
+NetDriver::~NetDriver() { net_->set_receiver(host().id(), nullptr); }
 
 bool NetDriver::reaches(core::NodeId node) const {
   return node != host().id() && net_->attached(node);

@@ -62,10 +62,6 @@ class NetDriver final : public FrameDriver {
 
   simnet::Network* net_;
   DispatchFn dispatch_;
-  // Network change subscription: a detach is the only event that can
-  // shrink reaches(), so it is the only one that must clear fast-open
-  // intents (admin up/down and model swaps leave attachment alone).
-  std::uint64_t change_token_ = 0;
   // Per-connection pacing horizon; only populated on profiles with a
   // per-stream cap.  Refused connects can strand an entry until the
   // driver dies — one pair of words each, accepted.

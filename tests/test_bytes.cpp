@@ -121,16 +121,6 @@ TEST(BytesPool, OversizedBuffersAreNeverHoarded) {
   EXPECT_EQ(huge.size(), pc::BytesPool::kMaxPooledCapacity + 1);
 }
 
-TEST(BytesPool, DisabledPoolDegeneratesToPlainAllocation) {
-  pc::BytesPool pool;
-  pool.set_enabled(false);
-  pool.release(pc::Bytes(32));
-  EXPECT_EQ(pool.pooled(), 0u);  // releases are dropped
-  pc::Bytes b = pool.acquire(32);
-  EXPECT_EQ(b.size(), 32u);
-  EXPECT_EQ(pool.hits(), 0u);
-}
-
 TEST(BytesPool, FreeListIsBounded) {
   pc::BytesPool pool;
   for (std::size_t i = 0; i < pc::BytesPool::kMaxFree + 10; ++i) {

@@ -2,7 +2,7 @@
 // exactly the old `std::map<(t, seq), fn>` order — strictly
 // non-decreasing time, FIFO within an instant, past timestamps clamped
 // to now — under every configuration (default ring, 1-bucket
-// degenerate, tiny ring, and the kept map reference mode).
+// degenerate, tiny ring).
 //
 // The oracle is a miniature map-engine reimplemented here from the
 // seed's semantics (not from the code under test), driven by the same
@@ -18,7 +18,6 @@
 
 #include "core/engine.hpp"
 #include "core/event_queue.hpp"
-#include "core/fastpath.hpp"
 #include "core/rng.hpp"
 #include "core/time.hpp"
 #include "scenario/scenario.hpp"
@@ -142,10 +141,6 @@ TEST(EventQueueOrdering, HundredThousandRandomEventsMatchMapSemantics) {
 
   cfg.ring_ticks = 64;  // tiny window: constant ring<->heap migration
   EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
-
-  cfg = pc::QueueConfig{};
-  cfg.mode = pc::QueueConfig::Mode::map;  // the kept reference mode
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
 }
 
 TEST(EventQueueOrdering, QueueShapeAccountingStaysConsistent) {
@@ -221,31 +216,11 @@ TEST(EventQueueDigest, ThousandNodeScenarioMatchesPreRefactorRecording) {
   EXPECT_EQ(r.duration, kRecordedDuration);
 }
 
-TEST(EventQueueDigest, FastLaneOffReproducesTheSameRecording) {
-  // The session-open fast lane (selector cache, fast-open handshake,
-  // inline VIO dispatch) defaults ON, so the recordings above already
-  // cover it.  The reference path — uncached chooser, full precheck,
-  // coroutine clients — must schedule the exact same events.
-  pc::ScopedFastPathConfig ref(pc::FastPathConfig{.selector_cache = false,
-                                                  .fast_open = false,
-                                                  .inline_vio = false});
-  const sc::Report r = run_thousand(pc::QueueConfig{});
-  EXPECT_EQ(r.digest, kRecordedDigest);
-  EXPECT_EQ(r.events, kRecordedEvents);
-  EXPECT_EQ(r.duration, kRecordedDuration);
-}
-
-TEST(EventQueueDigest, DegenerateAndMapConfigsReproduceTheSameRecording) {
+TEST(EventQueueDigest, DegenerateRingReproducesTheSameRecording) {
   pc::QueueConfig one_bucket;
   one_bucket.ring_ticks = 1;
   const sc::Report degenerate = run_thousand(one_bucket);
   EXPECT_EQ(degenerate.digest, kRecordedDigest);
   EXPECT_EQ(degenerate.events, kRecordedEvents);
-
-  pc::QueueConfig map_mode;
-  map_mode.mode = pc::QueueConfig::Mode::map;
-  const sc::Report reference = run_thousand(map_mode);
-  EXPECT_EQ(reference.digest, kRecordedDigest);
-  EXPECT_EQ(reference.events, kRecordedEvents);
-  EXPECT_EQ(reference.duration, kRecordedDuration);
+  EXPECT_EQ(degenerate.duration, kRecordedDuration);
 }

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/fastpath.hpp"
 #include "core/rng.hpp"
 #include "core/result.hpp"
 #include "grid/grid.hpp"
@@ -359,99 +358,6 @@ TEST(Scenario, TracingDoesNotPerturbTheDigest) {
   const sc::Report rt = traced.run();
   EXPECT_EQ(rp.digest, rt.digest);
   EXPECT_GT(traced.grid().engine().tracer().size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Session-open fast lane: every toggle must be digest-neutral
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// tiny_spec plus multi-request sessions and every churn kind — the
-/// workload where a stale cached selector decision, a wrongly-kept
-/// fast-open intent, or a coroutine scheduling drift would surface.
-sc::ScenarioSpec churny_spec() {
-  sc::ScenarioSpec spec = sc::small_world(2, 4, 400, 200'000.0, 7);
-  spec.workload.requests_per_session = 3;
-  spec.churn.push_back({sc::ChurnKind::node_join, core::microseconds(400),
-                        /*cluster=*/1, 0, 0.0});
-  spec.churn.push_back({sc::ChurnKind::node_leave, core::microseconds(800),
-                        /*cluster=*/0, 0, 0.0});
-  spec.churn.push_back({sc::ChurnKind::link_flap, core::microseconds(1200),
-                        /*cluster=*/1, core::microseconds(300), 0.0});
-  spec.churn.push_back({sc::ChurnKind::loss_burst, core::microseconds(1600),
-                        /*cluster=*/0, core::microseconds(300), 0.5});
-  spec.churn.push_back({sc::ChurnKind::wan_brownout, core::microseconds(2000),
-                        0, core::milliseconds(1), 0.1});
-  return spec;
-}
-
-sc::Report run_with(const sc::ScenarioSpec& spec,
-                    const core::FastPathConfig& cfg) {
-  core::ScopedFastPathConfig scoped(cfg);
-  sc::Scenario s(spec);
-  return s.run();
-}
-
-/// Digest, event count, duration and every accounting counter must be
-/// bit-identical: the fast lane may only move wall-clock time.
-/// (Registry snapshots are NOT compared — the selector cache counters
-/// legitimately read differently between modes.)
-void expect_observably_identical(const sc::Report& a, const sc::Report& b) {
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.duration, b.duration);
-  EXPECT_EQ(a.opened, b.opened);
-  EXPECT_EQ(a.closed, b.closed);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.payload_tx_bytes, b.payload_tx_bytes);
-  EXPECT_EQ(a.payload_rx_bytes, b.payload_rx_bytes);
-  EXPECT_EQ(a.churn_applied, b.churn_applied);
-}
-
-}  // namespace
-
-TEST(ScenarioFastPath, ReferencePathIsObservablyIdentical) {
-  // All fast-lane features off = the pre-fast-lane reference engine:
-  // uncached chooser, full connect precheck, coroutine clients.
-  const sc::Report fast = run_with(tiny_spec(), core::FastPathConfig{});
-  const sc::Report ref = run_with(
-      tiny_spec(), core::FastPathConfig{.selector_cache = false,
-                                        .fast_open = false,
-                                        .inline_vio = false});
-  expect_observably_identical(fast, ref);
-}
-
-TEST(ScenarioFastPath, EachToggleAloneIsDigestNeutral) {
-  const sc::Report fast = run_with(tiny_spec(), core::FastPathConfig{});
-
-  core::FastPathConfig no_cache;
-  no_cache.selector_cache = false;
-  expect_observably_identical(fast, run_with(tiny_spec(), no_cache));
-
-  core::FastPathConfig no_fast_open;
-  no_fast_open.fast_open = false;
-  expect_observably_identical(fast, run_with(tiny_spec(), no_fast_open));
-
-  core::FastPathConfig coro;
-  coro.inline_vio = false;
-  expect_observably_identical(fast, run_with(tiny_spec(), coro));
-}
-
-TEST(ScenarioFastPath, ChurnHeavyRunIsDigestNeutral) {
-  // Stale-decision regression: churn invalidates cached selector
-  // decisions and fast-open intents mid-run; a run with the cache on
-  // must stay bit-identical to one recomputing every decision, and the
-  // coroutine reference client must survive node_leave killing its
-  // sessions mid-await.
-  const sc::Report fast = run_with(churny_spec(), core::FastPathConfig{});
-  const sc::Report ref = run_with(
-      churny_spec(), core::FastPathConfig{.selector_cache = false,
-                                          .fast_open = false,
-                                          .inline_vio = false});
-  expect_observably_identical(fast, ref);
-  EXPECT_EQ(fast.churn_applied, 5u);
-  EXPECT_GT(fast.failed, 0u);  // churn really bit some sessions
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 // selector::Chooser coverage: classification on the paper's
 // topologies, ranking (including the WAN override), path security,
-// decision caching + invalidation, and the SelectionPolicy plumbing
-// through VLink::connect.
+// decisions under runtime churn (each compared against a fresh grid or
+// the pre-churn picks), and the SelectionPolicy plumbing through
+// VLink::connect.
 #include "selector/selector.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/core.hpp"
-#include "core/fastpath.hpp"
-#include "obs/registry.hpp"
 #include "grid/grid.hpp"
 #include "simnet/simnet.hpp"
 #include "vlink/net_driver.hpp"
@@ -41,6 +43,50 @@ void two_clusters(gr::Grid& grid, const std::string& wan_method = {}) {
   gr::BuildOptions opts;
   opts.wan_method = wan_method;
   grid.build(opts);
+}
+
+/// Two SAN clusters joined by a lossy transcontinental WAN (the grid
+/// stacks "vrp" on it).
+void lossy_clusters(gr::Grid& grid) {
+  grid.add_nodes(4);
+  sn::NetId sanA = grid.add_network(sn::profiles::myrinet2000());
+  sn::NetId sanB = grid.add_network(sn::profiles::myrinet2000());
+  sn::NetId wan =
+      grid.add_network(sn::profiles::transcontinental_internet(0.07));
+  grid.attach(sanA, 0);
+  grid.attach(sanA, 1);
+  grid.attach(sanB, 2);
+  grid.attach(sanB, 3);
+  for (pc::NodeId i = 0; i < 4; ++i) grid.attach(wan, i);
+  gr::BuildOptions opts;
+  opts.vrp.max_loss = 0.1;
+  grid.build(opts);
+}
+
+/// Every live node's decision towards every node, keyed (src, dst):
+/// "<class> <method>[ secure]", with "-" where choose() throws.
+using Picks = std::map<std::pair<pc::NodeId, pc::NodeId>, std::string>;
+
+Picks all_picks(gr::Grid& grid) {
+  Picks out;
+  for (pc::NodeId src = 0; src < grid.size(); ++src) {
+    if (!grid.alive(src)) continue;
+    sel::Chooser& ch = grid.node(src).chooser();
+    for (pc::NodeId dst = 0; dst < grid.size(); ++dst) {
+      std::string method;
+      try {
+        method = ch.choose(dst);
+      } catch (const std::runtime_error&) {
+        method = "-";
+      }
+      std::string pick = sel::net_class_name(ch.classify(dst));
+      pick += ' ';
+      pick += method;
+      if (ch.path_secure(dst)) pick += " secure";
+      out[{src, dst}] = pick;
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -115,20 +161,7 @@ TEST(Selector, LossyWanPrefersTheVrpAdapter) {
   // chooser swaps in the loss-tolerant "vrp" sibling the grid stacked
   // on it.
   gr::Grid grid;
-  grid.add_nodes(4);
-  sn::NetId sanA = grid.add_network(sn::profiles::myrinet2000());
-  sn::NetId sanB = grid.add_network(sn::profiles::myrinet2000());
-  sn::NetId wan =
-      grid.add_network(sn::profiles::transcontinental_internet(0.07));
-  grid.attach(sanA, 0);
-  grid.attach(sanA, 1);
-  grid.attach(sanB, 2);
-  grid.attach(sanB, 3);
-  for (pc::NodeId i = 0; i < 4; ++i) grid.attach(wan, i);
-  gr::BuildOptions opts;
-  opts.vrp.max_loss = 0.1;
-  grid.build(opts);
-
+  lossy_clusters(grid);
   sel::Chooser& ch = grid.node(0).chooser();
   EXPECT_EQ(ch.classify(2), sel::NetClass::wan);
   EXPECT_EQ(ch.choose(2), "vrp");
@@ -151,147 +184,128 @@ TEST(Selector, PathSecurityFollowsTheProfiles) {
   EXPECT_FALSE(ch.path_secure(2));  // shared WAN backbone
 }
 
-TEST(Selector, DecisionsAreCachedAndInvalidated) {
+TEST(Selector, DecisionsFollowTheWanOverrideAndTheRegistry) {
   gr::Grid grid;
   two_clusters(grid);
   sel::Chooser& ch = grid.node(0).chooser();
-  // build() itself touches the chooser (set_wan_method seeding) but
-  // makes no decisions; start from the post-build state.
-  const std::uint64_t base_lookups = ch.lookups();
-  EXPECT_EQ(ch.cache_size(), 0u);
-  ch.classify(2);
-  ch.choose(2);
-  ch.path_secure(2);
-  EXPECT_EQ(ch.lookups() - base_lookups, 3u);
-  EXPECT_EQ(ch.hits(), 2u);  // one miss, then cache hits
-  EXPECT_EQ(ch.cache_size(), 1u);
-
-  // The WAN override changes wan-class decisions: cache must drop.
+  EXPECT_EQ(ch.choose(2), "sysio");
   ch.set_wan_method("pstream");
-  EXPECT_EQ(ch.cache_size(), 0u);
   EXPECT_EQ(ch.choose(2), "pstream");
-
-  // Registry growth invalidates too (a better driver may now exist).
-  EXPECT_EQ(ch.cache_size(), 1u);
-  auto extra = std::make_unique<vl::NetDriver>(
-      grid.node(0).host(), grid.fabric().network(2), "sysio2");
-  extra->set_net_class(sel::NetClass::wan);
-  grid.node(0).vlink().add_driver(std::move(extra));
-  EXPECT_EQ(ch.cache_size(), 0u);
-}
-
-TEST(Selector, TargetedInvalidationDropsOnlyThatDestination) {
-  gr::Grid grid;
-  two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  ch.choose(1);
-  ch.choose(2);
-  ch.choose(3);
-  EXPECT_EQ(ch.cache_size(), 3u);
-  const std::uint64_t ev_before = ch.evictions();
-
-  ch.invalidate(2);
-  EXPECT_EQ(ch.cache_size(), 2u);
-  EXPECT_EQ(ch.evictions(), ev_before + 1);
-  // Idempotent: a miss evicts nothing.
-  ch.invalidate(2);
-  EXPECT_EQ(ch.evictions(), ev_before + 1);
-
-  // The surviving entries still hit; the dropped one recomputes.
-  const std::uint64_t hits_before = ch.hits();
-  EXPECT_EQ(ch.choose(1), "madio");
-  EXPECT_EQ(ch.hits(), hits_before + 1);
-  EXPECT_EQ(ch.choose(2), "sysio");
-  EXPECT_EQ(ch.hits(), hits_before + 1);  // recomputed, not served stale
-  EXPECT_EQ(ch.cache_size(), 3u);
-}
-
-TEST(Selector, CacheOffModeRecomputesEveryLookup) {
-  pc::ScopedFastPathConfig off(pc::FastPathConfig{.selector_cache = false});
-  gr::Grid grid;
-  two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  // Decisions are unchanged, only recomputed per lookup.
-  EXPECT_EQ(ch.choose(1), "madio");
-  EXPECT_EQ(ch.choose(2), "sysio");
-  EXPECT_EQ(ch.choose(2), "sysio");
   EXPECT_EQ(ch.classify(2), sel::NetClass::wan);
-  EXPECT_EQ(ch.cache_size(), 0u);
-  EXPECT_EQ(ch.hits(), 0u);
-  EXPECT_EQ(ch.misses(), ch.lookups());
+
+  // Registry growth shows on the very next lookup: a WAN driver
+  // registered as lan class turns node 2 into a lan-class peer, which
+  // the wan override no longer applies to.
+  auto extra = std::make_unique<vl::NetDriver>(
+      grid.node(0).host(), grid.fabric().network(2), "wan-as-lan");
+  extra->set_net_class(sel::NetClass::lan);
+  grid.node(0).vlink().add_driver(std::move(extra));
+  EXPECT_EQ(ch.classify(2), sel::NetClass::lan);
+  EXPECT_EQ(ch.choose(2), "wan-as-lan");
+  EXPECT_EQ(ch.choose(1), "madio");  // the SAN is still tighter
 }
 
-TEST(Selector, CacheCountersArePublished) {
+TEST(Selector, DetachFromOneMediumReroutesOnlyThatDestination) {
   gr::Grid grid;
   two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  ch.choose(2);
-  ch.choose(2);
-  ch.invalidate();
-  const padico::obs::Registry& reg = grid.engine().obs();
-  const auto* hits = reg.find_counter("selector.cache.hits");
-  const auto* misses = reg.find_counter("selector.cache.misses");
-  const auto* evictions = reg.find_counter("selector.cache.evictions");
-  ASSERT_NE(hits, nullptr);
-  ASSERT_NE(misses, nullptr);
-  ASSERT_NE(evictions, nullptr);
-  // Counters are engine-wide (all four choosers merge into the same
-  // slots), so exact values belong to the accessor tests above; here
-  // the registered slots must have seen this chooser's traffic.
-  EXPECT_GE(hits->value(), 1u);
-  EXPECT_GE(misses->value(), 1u);
-  EXPECT_GE(evictions->value(), 1u);
+  const Picks before = all_picks(grid);
+  // Node 3 leaves SAN B but stays on the WAN: its cluster peer falls
+  // back to the WAN path towards it, and nothing else moves.
+  grid.fabric().network(1).detach(3);
+  sel::Chooser& ch = grid.node(2).chooser();
+  EXPECT_EQ(ch.classify(3), sel::NetClass::wan);
+  EXPECT_EQ(ch.choose(3), "sysio");
+  EXPECT_FALSE(ch.path_secure(3));
+  const Picks after = all_picks(grid);
+  for (const auto& [pair, pick] : before) {
+    if (pair == std::pair<pc::NodeId, pc::NodeId>{2, 3} ||
+        pair == std::pair<pc::NodeId, pc::NodeId>{3, 2}) {
+      continue;
+    }
+    EXPECT_EQ(after.at(pair), pick) << pair.first << " -> " << pair.second;
+  }
 }
 
-TEST(Selector, NodeRemovalInvalidatesOnlyTheVictim) {
+TEST(Selector, NodeRemovalChangesOnlyDecisionsTowardsTheVictim) {
   gr::Grid grid;
   two_clusters(grid);
-  sel::Chooser& ch = grid.node(0).chooser();
-  ch.choose(1);
-  ch.choose(2);
-  ch.choose(3);
-  EXPECT_EQ(ch.cache_size(), 3u);
-
-  // Live removal detaches node 3 everywhere: every chooser drops its
-  // entry for dst 3 — and ONLY that entry.
+  const Picks before = all_picks(grid);
   grid.remove_node_live(3);
-  EXPECT_EQ(ch.cache_size(), 2u);
-  const std::uint64_t hits_before = ch.hits();
-  ch.choose(1);
-  ch.choose(2);
-  EXPECT_EQ(ch.hits(), hits_before + 2);  // survivors still cached
-  EXPECT_THROW(ch.choose(3), std::runtime_error);  // recomputed fresh
+  for (pc::NodeId n = 0; n < 3; ++n) {
+    sel::Chooser& ch = grid.node(n).chooser();
+    EXPECT_THROW(ch.choose(3), std::runtime_error);
+    pc::Error error;
+    EXPECT_EQ(ch.select(3, &error), nullptr);
+    EXPECT_EQ(error.status, pc::Status::unreachable);
+  }
+  const Picks after = all_picks(grid);
+  for (const auto& [pair, pick] : before) {
+    if (pair.first == 3 || pair.second == 3) continue;
+    EXPECT_EQ(after.at(pair), pick) << pair.first << " -> " << pair.second;
+  }
 }
 
-TEST(Selector, LinkChurnInvalidatesAttachedChoosersOnly) {
+TEST(Selector, LiveAttachIsResolvedByEveryPeer) {
   gr::Grid grid;
   two_clusters(grid);
-  sel::Chooser& ch0 = grid.node(0).chooser();  // attached to sanA + wan
-  sel::Chooser& ch2 = grid.node(2).chooser();  // attached to sanB + wan
-  ch0.choose(1);
-  ch0.choose(2);
-  ch2.choose(3);
-  ch2.choose(0);
-  EXPECT_EQ(ch0.cache_size(), 2u);
-  EXPECT_EQ(ch2.cache_size(), 2u);
+  const pc::NodeId joined = grid.add_node_live();
+  for (pc::NodeId n = 0; n < 4; ++n) {
+    EXPECT_THROW(grid.node(n).chooser().choose(joined), std::runtime_error);
+  }
+  grid.attach_live(1, joined);  // SAN B
+  grid.attach_live(2, joined);  // the WAN
+  EXPECT_EQ(grid.node(0).chooser().choose(joined), "sysio");
+  EXPECT_EQ(grid.node(1).chooser().choose(joined), "sysio");
+  EXPECT_EQ(grid.node(2).chooser().choose(joined), "madio");
+  EXPECT_EQ(grid.node(3).chooser().choose(joined), "madio");
+  sel::Chooser& own = grid.node(joined).chooser();
+  EXPECT_EQ(own.choose(0), "sysio");
+  EXPECT_EQ(own.choose(2), "madio");
+  EXPECT_EQ(own.choose(joined), "loopback");
+}
 
-  // Admin-down of sanA (network 0): only choosers of nodes attached
-  // to it (0 and 1) flush; node 2's cache is untouched.
-  grid.fabric().network(0).set_up(false);
-  EXPECT_EQ(ch0.cache_size(), 0u);
-  EXPECT_EQ(ch2.cache_size(), 2u);
-  // Re-raising the link flushes again; a no-op set_up does nothing.
-  ch0.choose(1);
-  grid.fabric().network(0).set_up(true);
-  EXPECT_EQ(ch0.cache_size(), 0u);
-  ch0.choose(1);
-  grid.fabric().network(0).set_up(true);  // already up: no flush
-  EXPECT_EQ(ch0.cache_size(), 1u);
+TEST(Selector, LinkChurnGivesTheSamePicksAsAFreshGrid) {
+  gr::Grid churned;
+  two_clusters(churned);
+  const Picks before = all_picks(churned);
 
-  // A model swap on the WAN (network 2) touches everyone.
-  grid.fabric().network(2).set_model(sn::profiles::transcontinental_internet(0.07));
-  EXPECT_EQ(ch0.cache_size(), 0u);
-  EXPECT_EQ(ch2.cache_size(), 0u);
+  // Admin down/up of SAN A: reachability is attachment, not link
+  // state, so the picks stay put (sends fail at the wire instead).
+  churned.fabric().network(0).set_up(false);
+  {
+    gr::Grid fresh;
+    two_clusters(fresh);
+    fresh.fabric().network(0).set_up(false);
+    EXPECT_EQ(all_picks(churned), all_picks(fresh));
+  }
+  EXPECT_EQ(all_picks(churned), before);
+  churned.fabric().network(0).set_up(true);
+  EXPECT_EQ(all_picks(churned), before);
+
+  // A model swap on the WAN.
+  churned.fabric().network(2).set_model(
+      sn::profiles::transcontinental_internet(0.07));
+  gr::Grid fresh;
+  two_clusters(fresh);
+  fresh.fabric().network(2).set_model(
+      sn::profiles::transcontinental_internet(0.07));
+  EXPECT_EQ(all_picks(churned), all_picks(fresh));
+}
+
+TEST(Selector, WanModelSwapTogglesTheVrpPreference) {
+  gr::Grid grid;
+  lossy_clusters(grid);
+  sel::Chooser& ch = grid.node(0).chooser();
+  EXPECT_EQ(ch.choose(2), "vrp");
+  // The brownout ends on a loss-free WAN: the raw driver is no longer
+  // lossy, so the default ranking keeps it.
+  sn::LinkModel clean = sn::profiles::transcontinental_internet(0.07);
+  clean.loss_rate = 0.0;
+  grid.fabric().network(2).set_model(clean);
+  EXPECT_EQ(ch.choose(2), "sysio");
+  grid.fabric().network(2).set_model(
+      sn::profiles::transcontinental_internet(0.07));
+  EXPECT_EQ(ch.choose(2), "vrp");
 }
 
 TEST(Selector, UnreachablePeerClassifiesWanAndFailsChoose) {
