@@ -19,7 +19,7 @@ bool MadIODriver::reaches(core::NodeId node) const {
 }
 
 void MadIODriver::emit(core::NodeId dst, const wire::Header& h,
-                       core::ByteView payload) {
+                       core::ByteView payload, core::SimTime* /*pace*/) {
   mad::PackHandle handle = io_->begin(MadIO::kVLinkTag, dst);
   handle.pack(wire::encode(h));
   if (!payload.empty()) {

@@ -15,8 +15,8 @@
 // Units / ownership / determinism: adds no virtual time beyond the
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN
 // stack) and claims the reserved kVLinkTag on it; the VLink owns the
-// driver itself.  Inherits FrameDriver's ordered connection books, so
-// link establishment order is bit-identical across runs.
+// driver itself.  Inherits FrameDriver's listener table and connection
+// slab; it paces nothing, so emit() ignores the slot's horizon.
 #pragma once
 
 #include "net/madio.hpp"
@@ -34,7 +34,7 @@ class MadIODriver final : public vlink::FrameDriver {
 
  protected:
   void emit(core::NodeId dst, const vlink::wire::Header& h,
-            core::ByteView payload) override;
+            core::ByteView payload, core::SimTime* pace) override;
 
  private:
   MadIO* io_;

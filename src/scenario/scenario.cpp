@@ -51,6 +51,7 @@ struct Scenario::Session {
   std::uint32_t done = 0;     // completed round trips
   std::uint32_t rx_need = 0;  // reply bytes still missing
   bool counted = false;       // already tallied closed/failed
+  bool live = false;          // IdTable occupancy
   std::shared_ptr<vio::Socket> sock;
 };
 
@@ -59,6 +60,7 @@ struct Scenario::ServerConn {
   std::uint32_t need = 0;  // request bytes still missing
   std::uint8_t flag = 0;   // final-request marker of the request in flight
   bool retiring = false;
+  bool live = false;  // IdTable occupancy
   std::shared_ptr<vio::Socket> sock;
 };
 
@@ -166,7 +168,7 @@ void Scenario::open_session(std::uint64_t id) {
   const std::uint32_t key = keys_->pick(place_rng_);
   const core::NodeId server = servers_[key % servers_.size()];
 
-  Session& s = sessions_[id];
+  Session& s = sessions_.add(id);
   s.client = client;
   s.server = server;
   s.key = key;
@@ -176,8 +178,8 @@ void Scenario::open_session(std::uint64_t id) {
   grid_.node(client).vlink().connect(
       {server, kServerPort},
       [this, id](core::Result<std::unique_ptr<vlink::Link>> r) {
-        auto it = sessions_.find(id);
-        if (it == sessions_.end() || it->second.counted) {
+        Session* s = sessions_.find(id);
+        if (s == nullptr || s->counted) {
           if (r.ok()) {
             // Session already settled; tear the stray link down from
             // outside the delivery chain.
@@ -190,48 +192,45 @@ void Scenario::open_session(std::uint64_t id) {
           fail_session(id, "session.fail.connect");
           return;
         }
-        Session& s = it->second;
-        s.sock = std::make_shared<vio::Socket>(std::move(*r));
-        s.sock->link().set_ready_handler(
+        s->sock = std::make_shared<vio::Socket>(std::move(*r));
+        s->sock->link().set_ready_handler(
             [this, id] { on_client_ready(id); });
         send_request(id);
       });
 }
 
 void Scenario::send_request(std::uint64_t id) {
-  Session& s = sessions_.find(id)->second;
+  const Session& s = *sessions_.find(id);
   const bool fin = s.done + 1 == spec_.workload.requests_per_session;
   after_cpu(s.client, cost_.send_cost(request_wire_), [this, id, fin] {
-    auto it = sessions_.find(id);
-    if (it == sessions_.end() || it->second.counted) return;
+    Session* s2 = sessions_.find(id);
+    if (s2 == nullptr || s2->counted) return;
     request_scratch_[0] = fin ? 1 : 0;
-    it->second.sock->write(core::view_of(request_scratch_));
+    s2->sock->write(core::view_of(request_scratch_));
     payload_tx_ += request_wire_;
     bytes_rate_->add(request_wire_);
   });
 }
 
 void Scenario::on_client_ready(std::uint64_t id) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end() || it->second.counted) return;
-  Session& s = it->second;
-  const core::Bytes got = s.sock->link().read_available();
+  Session* s = sessions_.find(id);
+  if (s == nullptr || s->counted) return;
+  const core::Bytes got = s->sock->link().read_available();
   if (got.empty()) return;
   payload_rx_ += got.size();
   bytes_rate_->add(got.size());
-  if (got.size() < s.rx_need) {
-    s.rx_need -= static_cast<std::uint32_t>(got.size());
+  if (got.size() < s->rx_need) {
+    s->rx_need -= static_cast<std::uint32_t>(got.size());
     return;
   }
   // Full reply in (a session never pipelines, so no overshoot).
-  s.rx_need = 0;
-  after_cpu(s.client, cost_.recv_cost(reply_wire_), [this, id] {
-    auto it2 = sessions_.find(id);
-    if (it2 == sessions_.end() || it2->second.counted) return;
-    Session& s2 = it2->second;
-    ++s2.done;
-    if (s2.done < spec_.workload.requests_per_session) {
-      s2.rx_need = reply_wire_;
+  s->rx_need = 0;
+  after_cpu(s->client, cost_.recv_cost(reply_wire_), [this, id] {
+    Session* s2 = sessions_.find(id);
+    if (s2 == nullptr || s2->counted) return;
+    ++s2->done;
+    if (s2->done < spec_.workload.requests_per_session) {
+      s2->rx_need = reply_wire_;
       send_request(id);
     } else {
       complete_session(id);
@@ -240,7 +239,7 @@ void Scenario::on_client_ready(std::uint64_t id) {
 }
 
 void Scenario::complete_session(std::uint64_t id) {
-  Session& s = sessions_.find(id)->second;
+  Session& s = *sessions_.find(id);
   s.counted = true;
   ++closed_;
   sessions_rate_->add();
@@ -257,9 +256,9 @@ void Scenario::complete_session(std::uint64_t id) {
 }
 
 void Scenario::fail_session(std::uint64_t id, const char* why) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end() || it->second.counted) return;
-  Session& s = it->second;
+  Session* found = sessions_.find(id);
+  if (found == nullptr || found->counted) return;
+  Session& s = *found;
   s.counted = true;
   ++failed_;
   obs_failed_->add();
@@ -286,7 +285,7 @@ void Scenario::retire_session(std::uint64_t id) {
 void Scenario::on_accept(core::NodeId server,
                          std::shared_ptr<vio::Socket> sock) {
   const std::uint64_t cid = conn_seq_++;
-  ServerConn& c = conns_[cid];
+  ServerConn& c = conns_.add(cid);
   c.server = server;
   c.need = request_wire_;
   c.sock = std::move(sock);
@@ -295,34 +294,35 @@ void Scenario::on_accept(core::NodeId server,
 }
 
 void Scenario::on_server_ready(std::uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end() || it->second.retiring) return;
-  ServerConn& c = it->second;
-  const core::Bytes got = c.sock->link().read_available();
+  ServerConn* c = conns_.find(conn_id);
+  if (c == nullptr || c->retiring) return;
+  const core::Bytes got = c->sock->link().read_available();
   std::size_t off = 0;
   while (off < got.size()) {
-    if (c.need == request_wire_) c.flag = got[off];
+    if (c->need == request_wire_) c->flag = got[off];
     const std::size_t take =
-        std::min<std::size_t>(got.size() - off, c.need);
-    c.need -= static_cast<std::uint32_t>(take);
+        std::min<std::size_t>(got.size() - off, c->need);
+    c->need -= static_cast<std::uint32_t>(take);
     off += take;
-    if (c.need == 0) {
-      c.need = request_wire_;
-      send_reply(conn_id, c.flag != 0);
-      if (c.retiring) break;
+    if (c->need == 0) {
+      c->need = request_wire_;
+      send_reply(conn_id, c->flag != 0);
+      // The reply may have run inline; look the entry up afresh.
+      c = conns_.find(conn_id);
+      if (c == nullptr || c->retiring) break;
     }
   }
 }
 
 void Scenario::send_reply(std::uint64_t conn_id, bool final_request) {
-  ServerConn& c = conns_.find(conn_id)->second;
+  ServerConn& c = *conns_.find(conn_id);
   if (final_request) c.retiring = true;
   const core::Duration cost =
       cost_.recv_cost(request_wire_) + cost_.send_cost(reply_wire_);
   after_cpu(c.server, cost, [this, conn_id, final_request] {
-    auto it = conns_.find(conn_id);
-    if (it == conns_.end()) return;
-    it->second.sock->write(core::view_of(reply_scratch_));
+    ServerConn* c2 = conns_.find(conn_id);
+    if (c2 == nullptr) return;
+    c2->sock->write(core::view_of(reply_scratch_));
     if (final_request) {
       // Same deferred-destruction rule as the client side.
       grid_.engine().post([this, conn_id] { conns_.erase(conn_id); });
@@ -466,18 +466,14 @@ Report Scenario::run() {
   // Sweep: sessions still tracked hung on churn or loss (their reply
   // will never come) — they count failed, keeping the invariant
   // opened == closed + failed.
-  std::vector<std::uint64_t> hung;
-  for (auto& [id, s] : sessions_) {
-    if (!s.counted) hung.push_back(id);
-  }
-  std::sort(hung.begin(), hung.end());  // digest folds ids in id order
-  for (std::uint64_t id : hung) {
-    sessions_.find(id)->second.counted = true;
+  sessions_.for_each([this](std::uint64_t id, Session& s) {
+    if (s.counted) return;
+    s.counted = true;
     ++failed_;
     obs_failed_->add();
     fold(0x5eull);
     fold(id);
-  }
+  });
   sessions_.clear();
   conns_.clear();
 

@@ -27,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/bytes.hpp"
@@ -80,6 +79,40 @@ struct Report {
 
   /// obs::Registry::snapshot() at end of run.
   std::string registry;
+};
+
+/// Entries keyed by dense, sequential ids (session ids, server
+/// connection ids): entry `id` is `v_[id]`, live while its `live`
+/// flag is set; erasing resets it in place.  `add` may reallocate:
+/// never hold a `T&` across a call that can reach it.
+template <class T>
+class IdTable {
+ public:
+  /// The live entry `id`, or null.
+  T* find(std::uint64_t id) {
+    if (id >= v_.size() || !v_[id].live) return nullptr;
+    return &v_[id];
+  }
+  /// Make `id` live; ids arrive in increasing order, gaps allowed.
+  T& add(std::uint64_t id) {
+    if (id >= v_.size()) v_.resize(id + 1);
+    v_[id].live = true;
+    return v_[id];
+  }
+  void erase(std::uint64_t id) {
+    if (T* e = find(id)) *e = T{};
+  }
+  /// `fn(id, entry)` for every live entry, in id order.
+  template <class Fn>
+  void for_each(Fn fn) {
+    for (std::uint64_t id = 0; id < v_.size(); ++id) {
+      if (v_[id].live) fn(id, v_[id]);
+    }
+  }
+  void clear() { v_.clear(); }
+
+ private:
+  std::vector<T> v_;
 };
 
 class Scenario {
@@ -163,12 +196,11 @@ class Scenario {
   core::Bytes request_scratch_;
   core::Bytes reply_scratch_;
 
-  // Live workload state.
-  // Hash maps: lookup dominates (one find per protocol step).  The
-  // only iteration is run()'s final failure sweep, which sorts ids
-  // first so the digest stays identical to the ordered-map original.
-  std::unordered_map<std::uint64_t, Session> sessions_;
-  std::unordered_map<std::uint64_t, ServerConn> conns_;
+  // Live workload state, indexed by session id / conn_seq_ (both
+  // dense and sequential).  run()'s final failure sweep walks ids in
+  // order, as the digest requires.
+  IdTable<Session> sessions_;
+  IdTable<ServerConn> conns_;
   std::uint64_t conn_seq_ = 0;
   std::uint64_t opened_ = 0;
   std::uint64_t closed_ = 0;

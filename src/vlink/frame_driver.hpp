@@ -3,21 +3,37 @@
 //
 // Every driver of the stack frames its traffic the same way — a
 // wire::Header (connect / accept / refuse / data) followed by stream
-// payload — and keeps the same books: listeners by port, links by
-// connection id, in-flight connects by connection id.  FrameDriver owns
-// all of that; a concrete driver only supplies `emit()` (push one frame
-// towards a peer) and `reaches()`.  NetDriver emits straight onto a
-// simulated network; MadIODriver emits through the MadIO arbitration
-// stack.
+// payload — and keeps the same books: listeners by port and one
+// connection slab.  FrameDriver owns all of that; a concrete driver
+// only supplies `emit()` (push one frame towards a peer) and
+// `reaches()`.  NetDriver emits straight onto a simulated network;
+// MadIODriver emits through the MadIO arbitration stack.
+//
+// Connection slab.  Each connection end — in-flight connect or live
+// link — holds one Slot of a per-driver vector, recycled through a
+// freelist.  A slot is named by a 32-bit handle, its index in the low
+// kSlotBits and a generation (bumped every time the slot is freed)
+// above.  The originator puts its handle in the low 32 bits of the
+// conn id, under the origin node in bits 40 and up, so the id stays
+// unique among live connections; the acceptor allocates its own slot
+// and returns its handle in the accept frame's `peer` field.  Every
+// later data frame carries the receiver's handle in `peer`, so demux
+// is an array index plus three checks: the generation, the stored
+// conn id and the slot's state.  A frame that fails any of them —
+// aimed at a closed link whose slot was since reused, a duplicate
+// accept, an accept or refuse for another node's conn id — is
+// dropped.
 //
 // Every connect runs the transport's reaches() precheck, and every
-// received frame demuxes through one hash probe (listeners by port for
-// connects, links by connection id for data), so there is no cached
-// reachability or demux state that churn could leave stale.
+// received frame demuxes afresh (listeners by port for connects, the
+// slab for the rest), so there is no cached reachability or demux
+// state that churn could leave stale.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "core/host.hpp"
 #include "vlink/driver.hpp"
@@ -37,25 +53,31 @@ class FrameDriver : public Driver {
   }
   void connect(const RemoteAddr& remote, ConnectFn on_connect) override;
 
+  /// Connection ends currently holding a slot (in-flight connects plus
+  /// live links).
+  std::size_t open_connections() const noexcept {
+    return slots_.size() - free_count_;
+  }
+  /// Slots ever allocated: the slab's high-water mark of concurrently
+  /// open connection ends.
+  std::size_t slab_size() const noexcept { return slots_.size(); }
+
  protected:
   FrameDriver(core::Host& host, std::string name);
 
   core::Host& host() const noexcept { return *host_; }
 
-  /// Transport hook: deliver one encoded frame to `dst`.
+  /// Transport hook: deliver one encoded frame to `dst`.  `pace` is
+  /// the sending connection end's pacing horizon (its slot's
+  /// busy_until), null for a refuse, which belongs to no connection.
+  /// The pointer dies with the next slab allocation: use it before
+  /// anything can re-enter the driver.
   virtual void emit(core::NodeId dst, const wire::Header& h,
-                    core::ByteView payload) = 0;
+                    core::ByteView payload, core::SimTime* pace) = 0;
 
   /// Entry point for the transport: parse and act on one received
   /// frame.  Malformed frames are counted and dropped.
   void handle_frame(core::NodeId src, core::ByteView frame);
-
-  /// Hook: the link bound to `conn_id` is gone (destroyed or the
-  /// connection was torn down); transports drop per-connection state
-  /// (NetDriver's per-stream pacing bucket) here.
-  virtual void on_connection_closed(std::uint64_t conn_id) {
-    (void)conn_id;
-  }
 
   std::uint64_t malformed_frames() const noexcept { return malformed_; }
 
@@ -63,17 +85,44 @@ class FrameDriver : public Driver {
   class FrameLink;
   friend class FrameLink;
 
-  void forget(std::uint64_t conn_id);
+  static constexpr unsigned kSlotBits = 20;
+  static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr std::uint32_t kNoSlot = ~0u;
+
+  // One connection end.  Free: no link, no pending connect, on the
+  // freelist through `next_free`.
+  struct Slot {
+    FrameLink* link = nullptr;
+    ConnectFn pending;            // originator, until accept / refuse
+    std::uint64_t conn_id = 0;    // the id every frame must carry
+    core::SimTime busy_until = 0; // per-stream pacing horizon
+    std::uint32_t gen = 0;
+    std::uint32_t next_free = kNoSlot;
+  };
+
+  static std::uint32_t handle_of(std::uint32_t slot, std::uint32_t gen) {
+    return (gen << kSlotBits) | slot;
+  }
+  /// Slot index `h` names, or kNoSlot unless its generation is current
+  /// and the slot is bound to `conn_id`.  Never returns a reference:
+  /// a callback can grow the slab.
+  std::uint32_t find(std::uint32_t h, std::uint64_t conn_id) const;
+  /// The originator slot an accept / refuse for `conn_id` answers:
+  /// our own origin bits, a current handle, still connecting.
+  std::uint32_t find_connecting(std::uint64_t conn_id) const;
+  /// A free slot (grows the slab when none is), pacing reset; the
+  /// caller binds its conn id.
+  std::uint32_t alloc();
+  /// Unbind `slot`, bump its generation, push it on the freelist.
+  void release(std::uint32_t slot);
 
   core::Host* host_;
-  // Per-frame lookups (every data frame probes links_, every connect
-  // probes listeners_) — hash maps, not trees.  Nothing
-  // event-ordering-dependent ever iterates them: only the destructor
-  // walks links_, to detach.
+  // Listeners stay a hash map (probed once per connect); nothing
+  // event-ordering-dependent ever iterates it.
   std::unordered_map<core::Port, AcceptFn> listeners_;
-  std::unordered_map<std::uint64_t, FrameLink*> links_;
-  std::unordered_map<std::uint64_t, ConnectFn> connecting_;
-  std::uint64_t next_conn_ = 1;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t free_count_ = 0;
   std::uint64_t malformed_ = 0;
   core::Port next_ephemeral_ = 49152;
   // obs instrumentation: node-wide vlink traffic totals (per-link

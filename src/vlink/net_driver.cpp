@@ -27,13 +27,13 @@ core::Duration NetDriver::stream_time(std::size_t bytes) const {
 }
 
 void NetDriver::emit(core::NodeId dst, const wire::Header& h,
-                     core::ByteView payload) {
+                     core::ByteView payload, core::SimTime* pace) {
   // Frames come out of the engine's recycled-buffer pool; the
   // receiving side's on_message() releases them after handling, so
   // steady-state frame traffic allocates nothing.
   core::Bytes frame =
       wire::encode(h, payload, host().engine().bytes_pool());
-  if (net_->model().per_stream_bytes_per_second == 0) {
+  if (net_->model().per_stream_bytes_per_second == 0 || pace == nullptr) {
     net_->send(host().id(), dst, std::move(frame));
     return;
   }
@@ -42,9 +42,8 @@ void NetDriver::emit(core::NodeId dst, const wire::Header& h,
   // connection the release instants are monotone and same-instant
   // events run FIFO, so frame order within a stream is preserved.
   core::Engine& engine = host().engine();
-  core::SimTime& busy = stream_busy_[h.conn_id];
-  const core::SimTime start = std::max(engine.now(), busy);
-  busy = start + stream_time(frame.size());
+  const core::SimTime start = std::max(engine.now(), *pace);
+  *pace = start + stream_time(frame.size());
   if (start == engine.now()) {
     net_->send(host().id(), dst, std::move(frame));
     return;
@@ -57,13 +56,6 @@ void NetDriver::emit(core::NodeId dst, const wire::Header& h,
                              f = std::move(frame)]() mutable {
     net->send(src, dst, std::move(f));
   });
-}
-
-void NetDriver::on_connection_closed(std::uint64_t conn_id) {
-  // Pacing buckets only exist on per-stream-capped profiles; the
-  // common teardown must not pay a tree probe for an empty map.
-  if (stream_busy_.empty()) return;
-  stream_busy_.erase(conn_id);
 }
 
 void NetDriver::on_message(core::NodeId src, core::Bytes msg) {

@@ -12,7 +12,8 @@
 //   [ 4] u16 dst_port    destination port / logical tag
 //   [ 6] u16 reserved
 //   [ 8] u32 src_node    sender node id
-//   [12] u32 reserved
+//   [12] u32 peer        receiver's connection handle (slot, generation)
+//                        on accept and data frames; zero otherwise
 //   [16] u64 conn_id     connection id / per-tag sequence number
 //
 // `decode` is the single parser for this format; it rejects truncated
@@ -44,6 +45,7 @@ struct Header {
   core::Port src_port = 0;
   core::Port dst_port = 0;
   core::NodeId src_node = 0;
+  std::uint32_t peer = 0;
   std::uint64_t conn_id = 0;
 
   friend bool operator==(const Header&, const Header&) = default;
@@ -66,6 +68,7 @@ inline void encode_into(const Header& h, std::uint8_t* out) {
   std::memcpy(out + 2, &h.src_port, sizeof(h.src_port));
   std::memcpy(out + 4, &h.dst_port, sizeof(h.dst_port));
   std::memcpy(out + 8, &h.src_node, sizeof(h.src_node));
+  std::memcpy(out + 12, &h.peer, sizeof(h.peer));
   std::memcpy(out + 16, &h.conn_id, sizeof(h.conn_id));
 }
 
@@ -113,6 +116,7 @@ inline std::optional<Header> decode(core::ByteView frame) {
   std::memcpy(&h.src_port, frame.data() + 2, sizeof(h.src_port));
   std::memcpy(&h.dst_port, frame.data() + 4, sizeof(h.dst_port));
   std::memcpy(&h.src_node, frame.data() + 8, sizeof(h.src_node));
+  std::memcpy(&h.peer, frame.data() + 12, sizeof(h.peer));
   std::memcpy(&h.conn_id, frame.data() + 16, sizeof(h.conn_id));
   return h;
 }

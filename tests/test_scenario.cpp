@@ -259,6 +259,50 @@ TEST(Arrival, ZipfSkewConcentratesOnHotKeys) {
 // Session lifecycle accounting
 // ---------------------------------------------------------------------------
 
+namespace {
+
+struct Entry {
+  std::uint64_t v = 0;
+  bool live = false;
+};
+
+}  // namespace
+
+TEST(IdTable, TracksLiveEntriesAndWalksThemInIdOrder) {
+  sc::IdTable<Entry> t;
+  std::vector<std::uint64_t> live;
+  // Ids arrive in order, every 7th skipped (as a session that never
+  // placed is); all but every 100th retire again.
+  for (std::uint64_t id = 0; id < 1000; ++id) {
+    if (id % 7 == 3) continue;
+    t.add(id).v = id * 3;
+    if (id % 100 == 0) {
+      live.push_back(id);
+    } else {
+      t.erase(id);
+      EXPECT_EQ(t.find(id), nullptr);
+    }
+  }
+  for (std::uint64_t id : live) {
+    ASSERT_NE(t.find(id), nullptr) << id;
+    EXPECT_EQ(t.find(id)->v, id * 3);
+  }
+  EXPECT_EQ(t.find(3), nullptr);     // never added
+  EXPECT_EQ(t.find(9999), nullptr);  // beyond the end
+  std::vector<std::uint64_t> seen;
+  t.for_each([&](std::uint64_t id, Entry& e) {
+    EXPECT_EQ(e.v, id * 3);
+    seen.push_back(id);
+  });
+  EXPECT_EQ(seen, live);  // every live entry, in id order
+  t.erase(live.front());
+  t.erase(live.front());  // twice: a no-op
+  EXPECT_EQ(t.find(live.front()), nullptr);
+  EXPECT_EQ(t.find(live.back())->v, live.back() * 3);
+  t.clear();
+  EXPECT_EQ(t.find(live.back()), nullptr);
+}
+
 TEST(Scenario, AllSessionsCompleteOnAQuietGrid) {
   sc::Scenario s(tiny_spec());
   const sc::Report r = s.run();

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/core.hpp"
 #include "simnet/simnet.hpp"
@@ -340,4 +344,255 @@ TEST(VLink, VLinkListenAcceptsOnAllDrivers) {
   EXPECT_TRUE(via_san);
   EXPECT_TRUE(via_lan);
   EXPECT_EQ(accepted, 2);
+}
+
+// ---------------------------------------------------------------------------
+// The connection slab: handle / generation demux.  TapDriver is a
+// FrameDriver over a hand-cranked wire, so tests can hold frames back,
+// and replay or forge control and data frames at the demux.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+namespace wire = padico::vlink::wire;
+
+struct Frame {
+  pc::NodeId src;
+  pc::NodeId dst;
+  pc::Bytes bytes;
+};
+
+class TapDriver;
+
+// Frames queue here until flush(); `log` keeps every frame ever sent.
+struct TapWire {
+  std::map<pc::NodeId, TapDriver*> drivers;
+  std::deque<Frame> queue;
+  std::vector<Frame> log;
+
+  void flush();
+
+  /// The last logged frame of `type` from `src`.
+  const Frame& last(pc::NodeId src, wire::FrameType type) const {
+    for (auto it = log.rbegin(); it != log.rend(); ++it) {
+      if (it->src == src && wire::decode(pc::view_of(it->bytes))->type == type)
+        return *it;
+    }
+    throw std::logic_error("no such frame");
+  }
+};
+
+class TapDriver final : public vl::FrameDriver {
+ public:
+  TapDriver(pc::Host& host, TapWire& w) : FrameDriver(host, "tap"), wire_(&w) {
+    w.drivers[host.id()] = this;
+  }
+  bool reaches(pc::NodeId node) const override {
+    return wire_->drivers.count(node) != 0;
+  }
+  void inject(pc::NodeId src, const pc::Bytes& frame) {
+    handle_frame(src, pc::view_of(frame));
+  }
+
+ protected:
+  void emit(pc::NodeId dst, const wire::Header& h, pc::ByteView payload,
+            pc::SimTime* /*pace*/) override {
+    Frame f{host().id(), dst, wire::encode(h, payload)};
+    wire_->log.push_back(f);
+    wire_->queue.push_back(std::move(f));
+  }
+
+ private:
+  TapWire* wire_;
+};
+
+void TapWire::flush() {
+  while (!queue.empty()) {
+    Frame f = std::move(queue.front());
+    queue.pop_front();
+    drivers.at(f.dst)->inject(f.src, f.bytes);
+  }
+}
+
+/// Client node 1, server node 2 (listening on port 7000), one wire.
+struct TapRig {
+  pc::Engine engine;
+  pc::Host h1{engine, 1}, h2{engine, 2};
+  TapWire w;
+  TapDriver cli{h1, w}, srv{h2, w};
+  std::unique_ptr<vl::Link> accepted;
+  int connects = 0;
+
+  TapRig() {
+    srv.listen(7000, [this](std::unique_ptr<vl::Link> l) {
+      accepted = std::move(l);
+    });
+  }
+
+  /// Start a connect; the result lands in `out` once frames flush.
+  void start(std::unique_ptr<vl::Link>& out) {
+    cli.connect({2, 7000},
+                [this, &out](pc::Result<std::unique_ptr<vl::Link>> r) {
+                  ++connects;
+                  ASSERT_TRUE(r.ok()) << r.error().message;
+                  out = std::move(*r);
+                });
+  }
+
+  /// Connect and flush: {client end, server end}.
+  std::pair<std::unique_ptr<vl::Link>, std::unique_ptr<vl::Link>> open() {
+    std::unique_ptr<vl::Link> a;
+    start(a);
+    w.flush();
+    EXPECT_TRUE(a);
+    EXPECT_TRUE(accepted);
+    return {std::move(a), std::move(accepted)};
+  }
+};
+
+pc::Bytes reframe(const pc::Bytes& frame, std::uint32_t peer,
+                  std::uint64_t conn_id, const char* payload) {
+  wire::Header h = *wire::decode(pc::view_of(frame));
+  h.peer = peer;
+  h.conn_id = conn_id;
+  return wire::encode(h, pc::view_of(payload));
+}
+
+wire::Header header_of(const Frame& f) {
+  return *wire::decode(pc::view_of(f.bytes));
+}
+
+}  // namespace
+
+TEST(VLinkSlab, StaleDataForAReusedSlotNeverReachesTheNewLink) {
+  TapRig rig;
+  auto [a, b] = rig.open();
+  a->post_write(pc::view_of("old"));
+  const Frame stale = rig.w.last(1, wire::FrameType::data);
+  rig.w.flush();
+  EXPECT_EQ(b->read_available(), pc::view_of("old").to_bytes());
+  a.reset();
+  b.reset();
+
+  // The next connection reuses both slots under a new generation.
+  auto [a2, b2] = rig.open();
+  EXPECT_EQ(rig.cli.slab_size(), 1u);
+  EXPECT_EQ(rig.srv.slab_size(), 1u);
+  a2->post_write(pc::view_of("new"));
+  const Frame fresh = rig.w.last(1, wire::FrameType::data);
+  rig.w.flush();
+  EXPECT_EQ(b2->read_available(), pc::view_of("new").to_bytes());
+  const wire::Header old_h = header_of(stale);
+  const wire::Header new_h = header_of(fresh);
+  ASSERT_EQ(old_h.peer & 0xFFFFF, new_h.peer & 0xFFFFF);  // same slot
+  ASSERT_NE(old_h.peer, new_h.peer);                      // new generation
+  ASSERT_NE(old_h.conn_id, new_h.conn_id);
+
+  // The stale frame as it was sent ...
+  rig.srv.inject(1, stale.bytes);
+  // ... with the live conn id but the old generation (only the
+  // generation check catches it) ...
+  rig.srv.inject(1, reframe(stale.bytes, old_h.peer, new_h.conn_id, "gen"));
+  // ... and with the live handle but the old conn id (only the conn id
+  // check catches it).
+  rig.srv.inject(1, reframe(stale.bytes, new_h.peer, old_h.conn_id, "cid"));
+  EXPECT_EQ(b2->available(), 0u);
+
+  // The live handle and conn id still deliver.
+  rig.srv.inject(1, reframe(stale.bytes, new_h.peer, new_h.conn_id, "ok"));
+  EXPECT_EQ(b2->read_available(), pc::view_of("ok").to_bytes());
+}
+
+TEST(VLinkSlab, DuplicateAcceptIsIgnored) {
+  TapRig rig;
+  auto [a, b] = rig.open();
+  const Frame accept = rig.w.last(2, wire::FrameType::accept);
+  EXPECT_EQ(rig.connects, 1);
+
+  // Again while the link it established is live.
+  rig.cli.inject(2, accept.bytes);
+  EXPECT_EQ(rig.connects, 1);
+  EXPECT_EQ(rig.cli.open_connections(), 1u);
+
+  // Again after the slot was freed and taken by a new, still
+  // unanswered connect: the old accept must not complete it.
+  a.reset();
+  b.reset();
+  std::unique_ptr<vl::Link> a2;
+  rig.start(a2);
+  ASSERT_EQ(rig.cli.slab_size(), 1u);
+  rig.cli.inject(2, accept.bytes);
+  EXPECT_EQ(rig.connects, 1);
+  EXPECT_FALSE(a2);
+
+  // The real accept still completes it.
+  rig.w.flush();
+  EXPECT_EQ(rig.connects, 2);
+  EXPECT_TRUE(a2);
+}
+
+TEST(VLinkSlab, AcceptOrRefuseCarryingAnotherNodesConnIdIsIgnored) {
+  TapRig rig;
+  std::unique_ptr<vl::Link> a;
+  rig.start(a);
+  const wire::Header c = header_of(rig.w.last(1, wire::FrameType::connect));
+  // The same handle under node 3's origin bits.
+  const std::uint64_t foreign =
+      (std::uint64_t{3} << 40) | (c.conn_id & 0xFFFFFFFFull);
+  ASSERT_NE(foreign, c.conn_id);
+  for (wire::FrameType type :
+       {wire::FrameType::accept, wire::FrameType::refuse}) {
+    wire::Header forged{type, c.dst_port, c.src_port, 2, 0, foreign};
+    rig.cli.inject(2, wire::encode(forged));
+  }
+  EXPECT_EQ(rig.connects, 0);
+  EXPECT_EQ(rig.cli.open_connections(), 1u);
+
+  rig.w.flush();
+  EXPECT_EQ(rig.connects, 1);
+  EXPECT_TRUE(a);
+}
+
+TEST(VLinkSlab, ConnectCloseCyclesReuseThePeakNumberOfSlots) {
+  Rig rig;
+  auto* d0 = dynamic_cast<vl::FrameDriver*>(rig.v0->driver("madio"));
+  auto* d1 = dynamic_cast<vl::FrameDriver*>(rig.v1->driver("madio"));
+  ASSERT_TRUE(d0 && d1);
+  constexpr int kConcurrent = 3;
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    std::vector<std::unique_ptr<vl::Link>> held;
+    for (int i = 0; i < kConcurrent; ++i) {
+      auto [a, b] = rig.link_pair("madio", 5000);
+      held.push_back(std::move(a));
+      held.push_back(std::move(b));
+    }
+    ASSERT_EQ(d0->open_connections(), std::size_t{kConcurrent});
+  }
+  EXPECT_EQ(d0->open_connections(), 0u);
+  EXPECT_EQ(d1->open_connections(), 0u);
+  EXPECT_EQ(d0->slab_size(), std::size_t{kConcurrent});
+  EXPECT_EQ(d1->slab_size(), std::size_t{kConcurrent});
+}
+
+TEST(VLinkSlab, RefusedConnectsOnAPacedWanLeaveNoOpenSlot) {
+  // vthd_wan caps each stream, so every connect is paced through its
+  // slot; a refuse must free it (and the acceptor takes none).
+  Rig rig(sn::profiles::vthd_wan());
+  const std::string method = sn::profiles::vthd_wan().driver;
+  ASSERT_GT(sn::profiles::vthd_wan().per_stream_bytes_per_second, 0u);
+  int refused = 0;
+  for (int i = 0; i < 500; ++i) {
+    rig.v0->connect(method, {1, 9999},
+                    [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+                      if (r.status() == pc::Status::refused) ++refused;
+                    });
+  }
+  rig.engine.run_until_idle();
+  EXPECT_EQ(refused, 500);
+  auto* d0 = dynamic_cast<vl::FrameDriver*>(rig.v0->driver(method));
+  auto* d1 = dynamic_cast<vl::FrameDriver*>(rig.v1->driver(method));
+  ASSERT_TRUE(d0 && d1);
+  EXPECT_EQ(d0->open_connections(), 0u);
+  EXPECT_EQ(d1->open_connections(), 0u);
+  EXPECT_EQ(d1->slab_size(), 0u);
 }

@@ -33,6 +33,7 @@ wire::Header random_header(pc::Rng& rng) {
   h.src_port = static_cast<pc::Port>(rng.uniform_int(0, 0xFFFF));
   h.dst_port = static_cast<pc::Port>(rng.uniform_int(0, 0xFFFF));
   h.src_node = static_cast<pc::NodeId>(rng.uniform_int(0, 0xFFFFFFFF));
+  h.peer = static_cast<std::uint32_t>(rng.uniform_int(0, 0xFFFFFFFF));
   h.conn_id = rng.next_u64();
   return h;
 }
@@ -45,6 +46,7 @@ TEST(WireFuzz, EncodedLayoutMatchesSpec) {
   h.src_port = 0x1234;
   h.dst_port = 0xABCD;
   h.src_node = 7;
+  h.peer = 0xCAFE0042u;
   h.conn_id = 0x1122334455667788ull;
   pc::Bytes frame = wire::encode(h, pc::view_of("hi"));
   ASSERT_EQ(frame.size(), wire::kHeaderSize + 2);
@@ -52,10 +54,17 @@ TEST(WireFuzz, EncodedLayoutMatchesSpec) {
   pc::Port src = 0;
   std::memcpy(&src, frame.data() + 2, sizeof(src));
   EXPECT_EQ(src, 0x1234);
+  std::uint32_t peer = 0;
+  std::memcpy(&peer, frame.data() + 12, sizeof(peer));
+  EXPECT_EQ(peer, 0xCAFE0042u);
+  std::uint64_t conn = 0;
+  std::memcpy(&conn, frame.data() + 16, sizeof(conn));
+  EXPECT_EQ(conn, 0x1122334455667788ull);
   // Reserved bytes are zeroed.
   EXPECT_EQ(frame[1], 0);
   EXPECT_EQ(frame[6], 0);
-  EXPECT_EQ(frame[12], 0);
+  EXPECT_EQ(frame[7], 0);
+  EXPECT_EQ(wire::decode(pc::view_of(frame))->peer, 0xCAFE0042u);
   EXPECT_EQ(frame[wire::kHeaderSize], 'h');
 }
 
@@ -70,6 +79,9 @@ TEST(WireFuzz, RoundTripRandomHeaders) {
     const std::optional<wire::Header> back = wire::decode(pc::view_of(frame));
     ASSERT_TRUE(back.has_value()) << "iteration " << i;
     EXPECT_EQ(*back, h) << "iteration " << i;
+    EXPECT_EQ(back->peer, h.peer) << "iteration " << i;
+    EXPECT_EQ(frame[1], 0) << "iteration " << i;
+    EXPECT_EQ(frame[6], 0) << "iteration " << i;
   }
 }
 
