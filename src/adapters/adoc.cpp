@@ -1,7 +1,6 @@
 #include "adapters/adoc.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -114,8 +113,6 @@ AdocLink::AdocLink(core::Engine& engine, core::NodeId remote_node,
   base_->set_datagram_handler(
       [this](core::ByteView frame) { on_frame(frame); });
 }
-
-AdocLink::~AdocLink() = default;
 
 double AdocLink::level_ratio(cz::Level level, core::ByteView payload) const {
   if (level == cz::Level::stored) return 1.0;
@@ -244,55 +241,12 @@ void AdocLink::on_frame(core::ByteView frame) {
 
 AdocDriver::AdocDriver(core::Host& host, Driver& base, std::string name,
                        simnet::Network* net)
-    : Driver(std::move(name)), host_(&host), base_(&base), net_(net) {}
+    : AdapterDriver(host, base, std::move(name), Kind::adoc), net_(net) {}
 
-// Teardown rule as pstream/vrp: never touch the base driver here.
-AdocDriver::~AdocDriver() = default;
-
-void AdocDriver::listen(core::Port port, AcceptFn on_accept) {
-  if (listeners_.count(port) == 0 &&
-      base_->listening(adoc::sub_port(port))) {
-    throw std::logic_error(
-        name() + ": rendezvous port " + std::to_string(adoc::sub_port(port)) +
-        " (for logical port " + std::to_string(port) +
-        ") is already listened on via " + base_->name());
-  }
-  listeners_[port] = std::move(on_accept);
-  std::weak_ptr<char> w = alive_;
-  base_->listen(
-      adoc::sub_port(port), [this, w, port](std::unique_ptr<Link> sub) {
-        if (w.expired()) return;
-        std::erase_if(accepting_,
-                      [](const auto& kv) { return kv.second.done; });
-        const std::uint64_t key = next_accept_key_++;
-        auto [it, inserted] = accepting_.emplace(key, PendingAccept{});
-        assert(inserted);
-        it->second.base = std::move(sub);
-        it->second.logical_port = port;
-        it->second.base->set_datagram_handler(
-            [this, w, key](core::ByteView frame) {
-              if (w.expired()) return;
-              on_accept_frame(key, frame);
-            });
-      });
-}
-
-void AdocDriver::unlisten(core::Port port) {
-  if (listeners_.erase(port) == 0) return;
-  base_->unlisten(adoc::sub_port(port));
-}
-
-void AdocDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
-  if (!reaches(remote.node)) {
-    on_connect(core::Result<std::unique_ptr<Link>>::err(
-        core::Status::unreachable, name() + ": node " +
-                                       std::to_string(remote.node) +
-                                       " not reachable"));
-    return;
-  }
-  std::weak_ptr<char> w = alive_;
-  base_->connect(
-      {remote.node, adoc::sub_port(remote.port)},
+void AdocDriver::dial(const RemoteAddr& remote, ConnectFn on_connect) {
+  std::weak_ptr<char> w = liveness();
+  base().connect(
+      {remote.node, rendezvous_port(remote.port)},
       [this, w, remote, fn = std::move(on_connect)](
           core::Result<std::unique_ptr<Link>> r) mutable {
         if (w.expired()) return;
@@ -309,29 +263,23 @@ void AdocDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
         hello.kind = adoc::Kind::hello;
         base->post_write(core::view_of(adoc::encode_header(hello)));
         auto link = std::make_unique<AdocLink>(
-            host_->engine(), remote.node, base->local_port(), remote.port,
-            std::move(base), net_, host_->id());
+            host().engine(), remote.node, base->local_port(), remote.port,
+            std::move(base), net_, host().id());
         fn(core::Result<std::unique_ptr<Link>>(std::move(link)));
       });
 }
 
-void AdocDriver::on_accept_frame(std::uint64_t key, core::ByteView frame) {
-  auto it = accepting_.find(key);
-  if (it == accepting_.end() || it->second.done) return;
-  const std::optional<adoc::Header> h = adoc::decode_header(frame);
-  if (!h || h->kind != adoc::Kind::hello) {
-    ++malformed_hellos_;
-    it->second.done = true;  // corrupted establishment; drop the link
-    return;
-  }
-  auto lit = listeners_.find(it->second.logical_port);
-  it->second.done = true;
-  if (lit == listeners_.end()) return;  // unlistened mid-establishment
-  Link* raw = it->second.base.get();
-  auto link = std::make_unique<AdocLink>(
-      host_->engine(), raw->remote_node(), it->second.logical_port,
-      raw->remote_port(), std::move(it->second.base), net_, host_->id());
-  lit->second(std::move(link));
+bool AdocDriver::accept_hello(core::Port port, std::unique_ptr<Link>& link,
+                              core::ByteView hello) {
+  const std::optional<adoc::Header> h = adoc::decode_header(hello);
+  if (!h || h->kind != adoc::Kind::hello) return false;
+  hand_off(port, [&] {
+    Link* raw = link.get();
+    return std::make_unique<AdocLink>(host().engine(), raw->remote_node(),
+                                      port, raw->remote_port(),
+                                      std::move(link), net_, host().id());
+  });
+  return true;
 }
 
 }  // namespace padico::vlink

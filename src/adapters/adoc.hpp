@@ -17,13 +17,14 @@
 // current payload's prefix and converge to an EWMA of observed full
 // frames; `pin_level()` freezes the choice for ablation arms.
 //
-// AdOC adds no reliability of its own (`lossy()` forwards the base):
-// it belongs on reliable paths, or under VRP-style recovery.
+// Establishment is the AdapterDriver rendezvous (vlink/adapter.hpp)
+// with a one-shot hello.  AdOC adds no reliability of its own
+// (`lossy()` forwards the base): it belongs on reliable paths, or under
+// VRP-style recovery.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -31,7 +32,7 @@
 #include "core/host.hpp"
 #include "middleware/personality.hpp"
 #include "simnet/network.hpp"
-#include "vlink/driver.hpp"
+#include "vlink/adapter.hpp"
 #include "vlink/link.hpp"
 
 namespace padico::vlink {
@@ -71,13 +72,6 @@ core::Bytes encode_header(const Header& h);
 /// never reads past `frame.size()`.
 std::optional<Header> decode_header(core::ByteView frame);
 
-/// The base-driver port an adoc rendezvous on logical port `p` uses
-/// (involution; image disjoint from pstream's `^ 0x8000` and vrp's
-/// `^ 0x4000`).
-constexpr core::Port sub_port(core::Port p) {
-  return static_cast<core::Port>(p ^ 0xC000);
-}
-
 }  // namespace adoc
 
 /// Both ends of an adoc connection hold one of these.  Public so the
@@ -90,14 +84,10 @@ class AdocLink final : public Link {
            core::Port local_port, core::Port remote_port,
            std::unique_ptr<Link> base, simnet::Network* net,
            core::NodeId self);
-  ~AdocLink() override;
 
   /// Freeze the controller on `level` (ablation arms).
   void pin_level(compress::Level level) { pinned_ = level; }
   void unpin_level() { pinned_.reset(); }
-  std::optional<compress::Level> pinned_level() const noexcept {
-    return pinned_;
-  }
 
   /// Level of the most recent data frame sent.
   compress::Level last_level() const noexcept { return last_level_; }
@@ -118,8 +108,6 @@ class AdocLink final : public Link {
   void send_bytes(core::ByteView data) override;
 
  private:
-  friend class AdocDriver;
-
   void on_frame(core::ByteView frame);
   compress::Level pick(core::ByteView payload);
   double level_ratio(compress::Level level, core::ByteView payload) const;
@@ -153,53 +141,19 @@ class AdocLink final : public Link {
   const char* trace_decode_;  // interned "adoc.decode"
 };
 
-class AdocDriver final : public Driver {
+class AdocDriver final : public AdapterDriver {
  public:
   /// Adapts `base` (borrowed; registered on the same VLink before this
   /// driver).  `net` (nullable) is sensed for transmit backlog.
   AdocDriver(core::Host& host, Driver& base, std::string name,
              simnet::Network* net);
-  ~AdocDriver() override;
-
-  void listen(core::Port port, AcceptFn on_accept) override;
-  void unlisten(core::Port port) override;
-  bool listening(core::Port port) const override {
-    return listeners_.count(port) != 0;
-  }
-  bool can_listen(core::Port port) const override {
-    return listeners_.count(port) != 0 ||
-           !base_->listening(adoc::sub_port(port));
-  }
-  void connect(const RemoteAddr& remote, ConnectFn on_connect) override;
-  bool reaches(core::NodeId node) const override {
-    return base_->reaches(node);
-  }
-
-  // Compression adds no recovery; a lossy base stays lossy.
-  bool lossy() const override { return base_->lossy(); }
-
-  Driver& base() const noexcept { return *base_; }
-
-  /// Establishment frames that failed to parse (their link dropped).
-  std::uint64_t malformed_hellos() const noexcept { return malformed_hellos_; }
 
  private:
-  struct PendingAccept {
-    std::unique_ptr<Link> base;
-    core::Port logical_port = 0;
-    bool done = false;  // swept lazily at the next base accept
-  };
+  void dial(const RemoteAddr& remote, ConnectFn on_connect) override;
+  bool accept_hello(core::Port port, std::unique_ptr<Link>& link,
+                    core::ByteView hello) override;
 
-  void on_accept_frame(std::uint64_t key, core::ByteView frame);
-
-  core::Host* host_;
-  Driver* base_;
   simnet::Network* net_;
-  std::uint64_t next_accept_key_ = 1;
-  std::uint64_t malformed_hellos_ = 0;
-  std::map<core::Port, AcceptFn> listeners_;
-  std::map<std::uint64_t, PendingAccept> accepting_;
-  std::shared_ptr<char> alive_ = std::make_shared<char>();
 };
 
 }  // namespace padico::vlink

@@ -118,8 +118,6 @@ VrpLink::VrpLink(core::Engine& engine, core::NodeId remote_node,
   }
 }
 
-VrpLink::~VrpLink() = default;
-
 double VrpLink::realized_loss() const noexcept {
   // Whichever direction carried traffic contributes; a unidirectional
   // transfer reads the same number on both ends (the sender learns the
@@ -402,58 +400,12 @@ void VrpLink::maybe_nack(std::uint64_t offset, std::uint64_t len) {
 
 VrpDriver::VrpDriver(core::Host& host, Driver& base, std::string name,
                      double max_loss)
-    : Driver(std::move(name)), host_(&host), base_(&base),
+    : AdapterDriver(host, base, std::move(name), Kind::vrp),
       max_loss_(max_loss) {
   assert(max_loss >= 0.0 && max_loss < 1.0);
 }
 
-// The base driver may already be gone during whole-VLink teardown
-// (drivers die in registration order), so the destructor must not
-// unlisten through it; dropped listens die with the base driver.
-VrpDriver::~VrpDriver() = default;
-
-void VrpDriver::listen(core::Port port, AcceptFn on_accept) {
-  if (listeners_.count(port) == 0 && base_->listening(vrp::sub_port(port))) {
-    throw std::logic_error(
-        name() + ": rendezvous port " + std::to_string(vrp::sub_port(port)) +
-        " (for logical port " + std::to_string(port) +
-        ") is already listened on via " + base_->name());
-  }
-  listeners_[port] = std::move(on_accept);
-  std::weak_ptr<char> w = alive_;
-  base_->listen(
-      vrp::sub_port(port), [this, w, port](std::unique_ptr<Link> sub) {
-        if (w.expired()) return;
-        // Lazy sweep: handshakes that finished (or died) since the
-        // last base accept are safe to destroy now.
-        std::erase_if(accepting_,
-                      [](const auto& kv) { return kv.second.done; });
-        const std::uint64_t key = next_accept_key_++;
-        auto [it, inserted] = accepting_.emplace(key, PendingAccept{});
-        assert(inserted);
-        it->second.base = std::move(sub);
-        it->second.logical_port = port;
-        it->second.base->set_datagram_handler(
-            [this, w, key](core::ByteView frame) {
-              if (w.expired()) return;
-              on_accept_frame(key, frame);
-            });
-      });
-}
-
-void VrpDriver::unlisten(core::Port port) {
-  if (listeners_.erase(port) == 0) return;
-  base_->unlisten(vrp::sub_port(port));
-}
-
-void VrpDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
-  if (!reaches(remote.node)) {
-    on_connect(core::Result<std::unique_ptr<Link>>::err(
-        core::Status::unreachable, name() + ": node " +
-                                       std::to_string(remote.node) +
-                                       " not reachable"));
-    return;
-  }
+void VrpDriver::dial(const RemoteAddr& remote, ConnectFn on_connect) {
   auto at = std::make_shared<Attempt>();
   at->fn = std::move(on_connect);
   at->remote = remote;
@@ -462,9 +414,9 @@ void VrpDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
 
 void VrpDriver::start_connect(const std::shared_ptr<Attempt>& at) {
   ++at->connect_tries;
-  std::weak_ptr<char> w = alive_;
-  base_->connect(
-      {at->remote.node, vrp::sub_port(at->remote.port)},
+  std::weak_ptr<char> w = liveness();
+  base().connect(
+      {at->remote.node, rendezvous_port(at->remote.port)},
       [this, w, at](core::Result<std::unique_ptr<Link>> r) {
         if (w.expired() || at->done) return;
         if (at->base) return;  // late accept of an abandoned attempt
@@ -485,7 +437,7 @@ void VrpDriver::start_connect(const std::shared_ptr<Attempt>& at) {
       });
   // The base connect/accept frames are lossy and the base driver has
   // no timeout of its own: re-attempt until one round-trip survives.
-  host_->engine().schedule_after(kConnectTimeout, [this, w, at] {
+  host().engine().schedule_after(kConnectTimeout, [this, w, at] {
     if (w.expired() || at->done || at->base) return;
     if (at->connect_tries >= kMaxTries) {
       at->done = true;
@@ -506,8 +458,8 @@ void VrpDriver::send_hello(const std::shared_ptr<Attempt>& at) {
   h.kind = vrp::Kind::hello;
   h.len = budget_ppm(max_loss_);
   at->base->post_write(core::view_of(vrp::encode_header(h)));
-  std::weak_ptr<char> w = alive_;
-  host_->engine().schedule_after(kHelloRetry, [this, w, at] {
+  std::weak_ptr<char> w = liveness();
+  host().engine().schedule_after(kHelloRetry, [this, w, at] {
     if (w.expired() || at->done) return;
     if (at->hello_tries >= kMaxTries) {
       at->done = true;
@@ -525,40 +477,33 @@ void VrpDriver::finish_connect(const std::shared_ptr<Attempt>& at,
                                core::ByteView first_frame) {
   const std::optional<vrp::Header> h = vrp::decode_header(first_frame);
   if (!h || h->kind == vrp::Kind::hello) {
-    ++malformed_hellos_;
+    count_malformed_hello();
     return;  // garbage (or an impossible hello echo): keep waiting
   }
   // Any valid frame proves the acceptor exists — its hello_ack may
   // simply have been lost while data/acks got through.
   at->done = true;
   auto link = std::make_unique<VrpLink>(
-      host_->engine(), at->remote.node, at->base->local_port(),
+      host().engine(), at->remote.node, at->base->local_port(),
       at->remote.port, std::move(at->base), max_loss_, /*acceptor=*/false);
   if (h->kind != vrp::Kind::hello_ack) link->on_frame(first_frame);
   at->fn(core::Result<std::unique_ptr<Link>>(std::move(link)));
 }
 
-void VrpDriver::on_accept_frame(std::uint64_t key, core::ByteView frame) {
-  auto it = accepting_.find(key);
-  if (it == accepting_.end() || it->second.done) return;
-  const std::optional<vrp::Header> h = vrp::decode_header(frame);
-  if (!h || h->kind != vrp::Kind::hello) {
-    // The first frame on a fresh base link must be a hello; anything
-    // else is corruption.  Drop the link (swept lazily).
-    ++malformed_hellos_;
-    it->second.done = true;
-    return;
-  }
-  auto lit = listeners_.find(it->second.logical_port);
-  it->second.done = true;
-  if (lit == listeners_.end()) return;  // unlistened mid-establishment
+bool VrpDriver::accept_hello(core::Port port, std::unique_ptr<Link>& link,
+                             core::ByteView hello) {
+  // The first frame on a fresh base link must be a hello; anything else
+  // is corruption.
+  const std::optional<vrp::Header> h = vrp::decode_header(hello);
+  if (!h || h->kind != vrp::Kind::hello) return false;
   const double budget = static_cast<double>(h->len) / 1e6;
-  Link* raw = it->second.base.get();
-  auto link = std::make_unique<VrpLink>(
-      host_->engine(), raw->remote_node(), it->second.logical_port,
-      raw->remote_port(), std::move(it->second.base), budget,
-      /*acceptor=*/true);
-  lit->second(std::move(link));
+  hand_off(port, [&] {
+    Link* raw = link.get();
+    return std::make_unique<VrpLink>(host().engine(), raw->remote_node(), port,
+                                     raw->remote_port(), std::move(link),
+                                     budget, /*acceptor=*/true);
+  });
+  return true;
 }
 
 }  // namespace padico::vlink

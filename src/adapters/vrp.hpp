@@ -17,8 +17,9 @@
 // atomically under the simnet per-frame loss model.
 //
 // Protocol:
-//   * establishment — base connect (re-attempted on timeout: the base
-//     connect/accept frames are themselves lossy), then a hello
+//   * establishment — the AdapterDriver rendezvous (vlink/adapter.hpp):
+//     base connect to the mapped port (re-attempted on timeout: the
+//     base connect/accept frames are themselves lossy), then a hello
 //     carrying the connector's loss budget, retransmitted until the
 //     acceptor's hello_ack arrives; duplicate hellos re-ack.
 //   * data — offset-stamped chunks under an AIMD window (additive
@@ -46,7 +47,7 @@
 #include <optional>
 
 #include "core/host.hpp"
-#include "vlink/driver.hpp"
+#include "vlink/adapter.hpp"
 #include "vlink/link.hpp"
 
 namespace padico::vlink {
@@ -102,13 +103,6 @@ core::Bytes encode_header(const Header& h);
 /// `frame.size()`.
 std::optional<Header> decode_header(core::ByteView frame);
 
-/// The base-driver port a vrp rendezvous on logical port `p` uses
-/// (involution; image disjoint from pstream's `^ 0x8000` and adoc's
-/// `^ 0xC000`).
-constexpr core::Port sub_port(core::Port p) {
-  return static_cast<core::Port>(p ^ 0x4000);
-}
-
 }  // namespace vrp
 
 /// Both ends of a VRP connection hold one of these (the protocol is
@@ -120,7 +114,6 @@ class VrpLink final : public Link {
   VrpLink(core::Engine& engine, core::NodeId remote_node,
           core::Port local_port, core::Port remote_port,
           std::unique_ptr<Link> base, double max_loss, bool acceptor);
-  ~VrpLink() override;
 
   double max_loss() const noexcept { return max_loss_; }
 
@@ -217,39 +210,15 @@ class VrpLink final : public Link {
   const char* trace_giveup_;  // interned "vrp.giveup"
 };
 
-class VrpDriver final : public Driver {
+class VrpDriver final : public AdapterDriver {
  public:
   /// Adapts `base` (borrowed; registered on the same VLink before this
   /// driver).  `max_loss` is the budget new connections announce.
   VrpDriver(core::Host& host, Driver& base, std::string name,
             double max_loss);
-  ~VrpDriver() override;
-
-  /// Claims the base driver's port `vrp::sub_port(port)` for the
-  /// rendezvous; throws std::logic_error on a collision (same policy
-  /// as pstream).
-  void listen(core::Port port, AcceptFn on_accept) override;
-  void unlisten(core::Port port) override;
-  bool listening(core::Port port) const override {
-    return listeners_.count(port) != 0;
-  }
-  bool can_listen(core::Port port) const override {
-    return listeners_.count(port) != 0 ||
-           !base_->listening(vrp::sub_port(port));
-  }
-  void connect(const RemoteAddr& remote, ConnectFn on_connect) override;
-  bool reaches(core::NodeId node) const override {
-    return base_->reaches(node);
-  }
 
   /// The whole point: bounded loss on a lossy base.
   bool lossy() const override { return false; }
-
-  Driver& base() const noexcept { return *base_; }
-  double max_loss() const noexcept { return max_loss_; }
-
-  /// Establishment frames that failed to parse (their link dropped).
-  std::uint64_t malformed_hellos() const noexcept { return malformed_hellos_; }
 
  private:
   struct Attempt {
@@ -260,26 +229,17 @@ class VrpDriver final : public Driver {
     int hello_tries = 0;
     bool done = false;
   };
-  struct PendingAccept {
-    std::unique_ptr<Link> base;
-    core::Port logical_port = 0;
-    bool done = false;  // swept lazily at the next base accept
-  };
+
+  void dial(const RemoteAddr& remote, ConnectFn on_connect) override;
+  bool accept_hello(core::Port port, std::unique_ptr<Link>& link,
+                    core::ByteView hello) override;
 
   void start_connect(const std::shared_ptr<Attempt>& at);
   void send_hello(const std::shared_ptr<Attempt>& at);
   void finish_connect(const std::shared_ptr<Attempt>& at,
                       core::ByteView first_frame);
-  void on_accept_frame(std::uint64_t key, core::ByteView frame);
 
-  core::Host* host_;
-  Driver* base_;
   double max_loss_;
-  std::uint64_t next_accept_key_ = 1;
-  std::uint64_t malformed_hellos_ = 0;
-  std::map<core::Port, AcceptFn> listeners_;       // by logical port
-  std::map<std::uint64_t, PendingAccept> accepting_;
-  std::shared_ptr<char> alive_ = std::make_shared<char>();
 };
 
 }  // namespace padico::vlink

@@ -197,6 +197,11 @@ void Grid::wire_attachment(simnet::NetId net_id, core::NodeId node_id,
   // Drivers inherit the profile's distance class and trust bit, so
   // the chooser classifies from profiles, never from method names.
   const selector::Caps base_caps = model.secure ? selector::kCapSecure : 0;
+  auto add = [&](std::unique_ptr<vlink::Driver> driver, selector::Caps caps) {
+    driver->set_net_class(model.net_class);
+    driver->set_caps(base_caps | caps);
+    vl.add_driver(std::move(driver));
+  };
   const std::string& method = plan.method;
   if (model.driver == "madio") {
     // SAN: the full arbitration stack under the vlink method.
@@ -204,50 +209,39 @@ void Grid::wire_attachment(simnet::NetId net_id, core::NodeId node_id,
                                             node.access(),
                                             options_.header_combining);
     node.madios_.push_back(&stack->io);
-    auto driver = std::make_unique<net::MadIODriver>(stack->io, method);
-    driver->set_net_class(model.net_class);
-    driver->set_caps(base_caps);
-    vl.add_driver(std::move(driver));
+    add(std::make_unique<net::MadIODriver>(stack->io, method), 0);
     san_stacks_.push_back(std::move(stack));
   } else {
     // IP network: baseline NetDriver, arbitrated on the SysIO side.
     auto driver = std::make_unique<vlink::NetDriver>(node.host(), net, method);
-    driver->set_net_class(model.net_class);
-    driver->set_caps(base_caps);
     driver->set_dispatch([access = &node.access()](core::EventFn fn) {
       access->post_sys(std::move(fn));
     });
     vlink::NetDriver* base = driver.get();
-    vl.add_driver(std::move(driver));
+    add(std::move(driver), 0);
     if (!plan.pstream.empty()) {
       // Long fat pipe: stack the parallel-stream adapter on the IP
       // driver.  Registered after its base, so the chooser's default
       // wan ranking still lands on plain "sysio" — pstream is
       // activated via BuildOptions::wan_method / set_wan_method.
-      auto ps = std::make_unique<vlink::PstreamDriver>(
-          node.host(), *base, plan.pstream, options_.pstream_width);
-      ps->set_net_class(model.net_class);
-      ps->set_caps(base_caps | selector::kCapParallel);
-      vl.add_driver(std::move(ps));
+      add(std::make_unique<vlink::PstreamDriver>(
+              node.host(), *base, plan.pstream, options_.pstream_width),
+          selector::kCapParallel);
     }
     // Adaptive compression rides every IP attachment, stacked
     // directly on the base driver (activated by wan_method /
     // set_wan_method or an explicit method connect).
-    auto ad = std::make_unique<vlink::AdocDriver>(node.host(), *base,
-                                                  plan.adoc, &net);
-    ad->set_net_class(model.net_class);
-    ad->set_caps(base_caps);
-    vl.add_driver(std::move(ad));
+    add(std::make_unique<vlink::AdocDriver>(node.host(), *base, plan.adoc,
+                                            &net),
+        0);
     if (!plan.vrp.empty()) {
       // Lossy profile: stack the loss-tolerant VRP adapter too.  The
       // kCapLossTolerant bit (plus VrpDriver::lossy() == false) is
       // what lets the chooser steer default WAN traffic off the raw
       // lossy driver.
-      auto vr = std::make_unique<vlink::VrpDriver>(
-          node.host(), *base, plan.vrp, options_.vrp.max_loss);
-      vr->set_net_class(model.net_class);
-      vr->set_caps(base_caps | selector::kCapLossTolerant);
-      vl.add_driver(std::move(vr));
+      add(std::make_unique<vlink::VrpDriver>(node.host(), *base, plan.vrp,
+                                             options_.vrp.max_loss),
+          selector::kCapLossTolerant);
     }
   }
 }

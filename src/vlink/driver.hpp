@@ -1,5 +1,6 @@
-// Driver interface: one access method ("madio", "sysio", "pstream",
-// later "vrp", "adoc") for reaching peers on some network.
+// Driver interface: one access method ("madio", "sysio", or one of the
+// adapters "pstream", "vrp", "adoc" — see vlink/adapter.hpp) for
+// reaching peers on some network.
 //
 // Beyond listen/connect, a driver advertises what kind of path it
 // serves: a NetClass affinity (which distance class it is the natural

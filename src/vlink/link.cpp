@@ -23,26 +23,16 @@ core::Completion<core::Bytes> Link::read_n(std::size_t n) {
   return c;
 }
 
-core::Completion<core::Bytes> Link::read_some() {
-  core::Completion<core::Bytes> c;
-  if (pending_.empty() && available() > 0) {
-    c.complete(read_available());
-    return c;
-  }
-  pending_.push_back(PendingRead{kAnyBytes, c});
-  return c;
-}
-
 void Link::deliver(core::ByteView data) {
   ++rx_frames_;
   rx_bytes_ += data.size();
   if (datagram_handler_) {
     // Framed mode: the adapter stacked on this link consumes whole
     // transport messages; nothing enters the stream buffer.  Invoke a
-    // local copy: handshake completion swaps the handler from INSIDE
-    // this call (the adapter takes over the link), and replacing a
-    // std::function mid-invocation would destroy its captures under
-    // the running closure.
+    // local copy: handshake completion swaps or clears the handler
+    // from INSIDE this call (the adapter takes over the link), and
+    // replacing a std::function mid-invocation would destroy its
+    // captures under the running closure.
     auto handler = datagram_handler_;
     handler(data);
     return;
@@ -83,13 +73,12 @@ core::Bytes Link::take(std::size_t n) {
 void Link::drain() {
   while (!pending_.empty()) {
     const std::size_t want = pending_.front().n;
-    if (want == kAnyBytes ? available() == 0 : available() < want) break;
+    if (available() < want) break;
     PendingRead req = std::move(pending_.front());
     pending_.pop_front();
     // complete() may resume a coroutine that immediately calls read_n
     // or post_write again; the deque is in a consistent state here.
-    req.completion.complete(want == kAnyBytes ? read_available()
-                                              : take(want));
+    req.completion.complete(take(want));
   }
 }
 

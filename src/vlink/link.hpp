@@ -3,9 +3,10 @@
 //
 // `Link` is the polymorphic base: it owns receive-side reassembly (a
 // byte buffer plus a FIFO of pending `read_n` requests) and delegates
-// the send side to the concrete transport via `send_bytes`.  Future
-// layers (VRP, AdOC, parallel streams) subclass it and keep the same
-// user-facing surface.
+// the send side to the concrete transport via `send_bytes`.  The
+// transports (FrameDriver's links) and the adapter links stacked on
+// them (pstream, VRP, AdOC) subclass it and keep the same user-facing
+// surface.
 #pragma once
 
 #include <cstddef>
@@ -57,15 +58,6 @@ class Link {
   /// stack.
   core::Completion<core::Bytes> read_n(std::size_t n);
 
-  /// Await *whatever arrives next*: completes inline with everything
-  /// buffered when bytes are available (exactly read_available()), or
-  /// on the next delivery with that delivery's bytes.  The awaitable
-  /// twin of the read_available()/ready-handler pattern, for coroutine
-  /// consumers of links that may lose or truncate messages.  Shares
-  /// the FIFO with read_n.  Never completes on a bare EOF (check
-  /// eof_seen() like the ready-handler consumers do).
-  core::Completion<core::Bytes> read_some();
-
   /// Bytes buffered and not yet claimed by a read.
   std::size_t available() const noexcept { return rx_buf_.size() - rx_head_; }
 
@@ -82,10 +74,12 @@ class Link {
   }
 
   /// Datagram mode: route each delivered transport message to `fn`
-  /// whole instead of appending it to the stream buffer.  Adapters
-  /// stacked on a base link (VRP, AdOC) use this to get framed-message
-  /// semantics: a lost wire message then drops one *frame* the adapter
-  /// header can account for, where a byte stream could never resync.
+  /// whole instead of appending it to the stream buffer (an empty `fn`
+  /// returns to stream mode).  The adapter rendezvous takes each
+  /// accepted base link's first message, the hello, this way; VRP and
+  /// AdOC stay in the mode to get framed-message semantics: a lost wire
+  /// message then drops one *frame* the adapter header can account
+  /// for, where a byte stream could never resync.
   void set_datagram_handler(std::function<void(core::ByteView)> fn) {
     datagram_handler_ = std::move(fn);
   }
@@ -118,9 +112,6 @@ class Link {
  private:
   core::Bytes take(std::size_t n);
   void drain();
-
-  /// Sentinel `n` for a read_some request ("any amount").
-  static constexpr std::size_t kAnyBytes = static_cast<std::size_t>(-1);
 
   struct PendingRead {
     std::size_t n;

@@ -150,80 +150,31 @@ core::Task PstreamLink::run_reader(std::size_t i) {
 
 PstreamDriver::PstreamDriver(core::Host& host, Driver& base, std::string name,
                              int width)
-    : Driver(std::move(name)), host_(&host), base_(&base), width_(width) {
+    : AdapterDriver(host, base, std::move(name), Kind::pstream),
+      width_(width) {
   assert(width >= 1 && width <= 255 && "hello index is one byte");
 }
 
-// The base driver may already be gone during whole-VLink teardown
-// (drivers die in registration order), so the destructor must not
-// unlisten through it; dropped listens die with the base driver.
-PstreamDriver::~PstreamDriver() = default;
-
-void PstreamDriver::listen(core::Port port, AcceptFn on_accept) {
-  // Detect the P / P^0x8000 pair collision loudly: if the mapped
-  // rendezvous port is already served on the base driver (or a pstream
-  // listener already owns it), a silent listeners_[...] overwrite
-  // would swallow one of the two streams of traffic.
-  if (listeners_.count(port) == 0 &&
-      base_->listening(pstream::sub_port(port))) {
-    throw std::logic_error(
-        name() + ": rendezvous port " +
-        std::to_string(pstream::sub_port(port)) + " (for logical port " +
-        std::to_string(port) + ") is already listened on via " +
-        base_->name());
-  }
-  listeners_[port] = std::move(on_accept);
-  base_->listen(pstream::sub_port(port), [this, port](std::unique_ptr<Link> sub) {
-    // Lazy sweep: hellos that finished since the last accept are
-    // suspended at their final point and safe to destroy now.
-    std::erase_if(hellos_, [](const auto& kv) { return kv.second.done; });
-    const std::uint64_t key = next_hello_key_++;
-    auto [it, inserted] = hellos_.emplace(key, PendingHello{});
-    assert(inserted);
-    it->second.sub = std::move(sub);
-    it->second.reader = read_hello(key, port);
-  });
-}
-
-void PstreamDriver::unlisten(core::Port port) {
-  // Only release the mapped base port if this logical port actually
-  // claimed it — an unlisten of a never-listened port must not tear
-  // down whatever else lives at `sub_port(port)` on the base driver.
-  if (listeners_.erase(port) == 0) return;
-  base_->unlisten(pstream::sub_port(port));
-}
-
-void PstreamDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
-  if (!reaches(remote.node)) {
-    on_connect(core::Result<std::unique_ptr<Link>>::err(
-        core::Status::unreachable, name() + ": node " +
-                                       std::to_string(remote.node) +
-                                       " not reachable"));
-    return;
-  }
+void PstreamDriver::dial(const RemoteAddr& remote, ConnectFn on_connect) {
   // Group ids are globally unique: origin node in the high bits (two
   // connectors must never collide at one acceptor), counter below.
   const std::uint64_t group =
-      (static_cast<std::uint64_t>(host_->id()) << 40) | next_group_++;
+      (static_cast<std::uint64_t>(host().id()) << 40) | next_group_++;
 
   struct Pending {
     ConnectFn fn;
-    RemoteAddr remote;
-    int width = 0;
     std::vector<std::unique_ptr<Link>> subs;
     int connected = 0;
     bool failed = false;
   };
   auto pc = std::make_shared<Pending>();
   pc->fn = std::move(on_connect);
-  pc->remote = remote;
-  pc->width = width_;
   pc->subs.resize(static_cast<std::size_t>(width_));
 
   for (int i = 0; i < width_; ++i) {
-    base_->connect(
-        {remote.node, pstream::sub_port(remote.port)},
-        [this, pc, i, group](core::Result<std::unique_ptr<Link>> r) {
+    base().connect(
+        {remote.node, rendezvous_port(remote.port)},
+        [this, pc, i, group, remote](core::Result<std::unique_ptr<Link>> r) {
           if (pc->failed) return;  // a sibling already reported the error
           if (!r.ok()) {
             pc->failed = true;
@@ -239,63 +190,52 @@ void PstreamDriver::connect(const RemoteAddr& remote, ConnectFn on_connect) {
           pstream::SubHeader hello;
           hello.kind = pstream::SubKind::hello;
           hello.index = static_cast<std::uint8_t>(i);
-          hello.width = static_cast<std::uint16_t>(pc->width);
-          hello.port = pc->remote.port;
+          hello.width = static_cast<std::uint16_t>(width_);
+          hello.port = remote.port;
           hello.id = group;
           sub->post_write(core::view_of(pstream::encode_sub(hello)));
           pc->subs[static_cast<std::size_t>(i)] = std::move(sub);
-          if (++pc->connected == pc->width) {
+          if (++pc->connected == width_) {
             auto link = std::make_unique<PstreamLink>(
-                host_->engine(), pc->remote.node,
-                pc->subs.front()->local_port(), pc->remote.port,
-                std::move(pc->subs));
+                host().engine(), remote.node, pc->subs.front()->local_port(),
+                remote.port, std::move(pc->subs));
             pc->fn(core::Result<std::unique_ptr<Link>>(std::move(link)));
           }
         });
   }
 }
 
-core::Task PstreamDriver::read_hello(std::uint64_t key,
-                                     core::Port logical_port) {
-  PendingHello& ph = hellos_.at(key);  // node-stable across map churn
-  core::Bytes raw = co_await ph.sub->read_n(pstream::kSubHeaderSize);
-  const std::optional<pstream::SubHeader> h =
-      pstream::decode_sub(core::view_of(raw));
+bool PstreamDriver::accept_hello(core::Port port, std::unique_ptr<Link>& sub,
+                                 core::ByteView hello) {
+  const std::optional<pstream::SubHeader> h = pstream::decode_sub(hello);
   // Width is bounded by the one-byte index field; a wider claim can
-  // never complete and would strand its group, so it is garbage.
-  bool ok = h && h->kind == pstream::SubKind::hello && h->width >= 1 &&
-            h->width <= 255 && h->index < h->width &&
-            h->port == logical_port;
-  if (ok) {
-    PendingGroup& g = accepting_[h->id];
-    if (g.slots.empty()) {
-      g.port = logical_port;
-      g.width = h->width;
-      g.slots.resize(h->width);
-    }
-    if (g.width != h->width || g.port != logical_port ||
-        g.slots[h->index] != nullptr) {
-      ok = false;  // inconsistent sibling; drop this sub-link only
-    } else {
-      g.slots[h->index] = std::move(ph.sub);
-      if (++g.filled == g.width) {
-        PendingGroup done = std::move(g);
-        accepting_.erase(h->id);
-        auto lit = listeners_.find(logical_port);
-        if (lit == listeners_.end()) {
-          ok = false;  // unlistened mid-establishment; drop the group
-        } else {
-          Link* first = done.slots.front().get();
-          auto link = std::make_unique<PstreamLink>(
-              host_->engine(), first->remote_node(), logical_port,
-              first->remote_port(), std::move(done.slots));
-          lit->second(std::move(link));
-        }
-      }
-    }
+  // never complete and would strand its group, so it is garbage (as is
+  // width 0: no index fits).
+  if (hello.size() != pstream::kSubHeaderSize || !h ||
+      h->kind != pstream::SubKind::hello || h->width > 255 ||
+      h->index >= h->width || h->port != port) {
+    return false;
   }
-  if (!ok) ++malformed_hellos_;
-  ph.done = true;
+  PendingGroup& g = groups_[h->id];
+  if (g.slots.empty()) {
+    g.port = port;
+    g.slots.resize(h->width);
+  }
+  if (g.slots.size() != h->width || g.port != port ||
+      g.slots[h->index] != nullptr) {
+    return false;  // inconsistent sibling; drop this sub-link only
+  }
+  g.slots[h->index] = std::move(sub);
+  if (++g.filled < g.slots.size()) return true;
+  std::vector<std::unique_ptr<Link>> slots = std::move(g.slots);
+  groups_.erase(h->id);
+  hand_off(port, [&] {
+    Link* first = slots.front().get();
+    return std::make_unique<PstreamLink>(host().engine(), first->remote_node(),
+                                         port, first->remote_port(),
+                                         std::move(slots));
+  });
+  return true;
 }
 
 }  // namespace padico::vlink

@@ -13,15 +13,14 @@
 // `pstream::SubHeader`; `decode_sub` is the single parser and rejects
 // garbage by returning nullopt (fuzzed in tests/test_wire_fuzz.cpp).
 //
-// Establishment: a pstream listen on logical port P accepts base
-// connections on the mapped port `sub_port(P) = P ^ 0x8000` — the
-// pstream adapter claims the image of that involution on its base
-// driver's port space, so direct base listens and pstream listens on
-// the same logical port never clobber each other.  A connect opens
-// `width` base connections to sub_port(P) and sends a hello sub-frame
-// on each {group id, width, sub-link index, logical port}; the
-// acceptor groups hellos by id and fires its AcceptFn once all width
-// sub-links arrived.  Malformed or mismatched hellos are counted
+// Establishment: the rendezvous (port map, listener, pending-accept
+// book) is the AdapterDriver base's, see vlink/adapter.hpp.  A connect
+// opens `width` base connections to the mapped port and posts a hello
+// sub-frame on each as its own write {group id, width, sub-link index,
+// logical port}, so each hello is its base link's whole first
+// datagram (anything longer is malformed).  The acceptor groups hellos
+// by id and hands the striped link on once all width sub-links
+// arrived.  Malformed or mismatched hellos are counted
 // (`malformed_hellos()`) and their sub-link dropped.
 //
 // Data path: send_bytes round-robins fixed-size chunks over the
@@ -35,13 +34,10 @@
 // is counted (`malformed_subframes()`), and chunks already sequenced
 // keep flowing from the healthy sub-links.
 //
-// Units / ownership / determinism: adds no virtual time of its own —
-// all pacing comes from the base driver and the simulated wire.  The
-// VLink owns the driver; the driver borrows its base (same VLink,
-// registered earlier, so it outlives every use on the event loop but
-// possibly not the teardown — the destructor therefore never touches
-// it).  Sub-link establishment order and the reassembly map are
-// deterministic, so a striped transfer is bit-identical across runs.
+// Units / determinism: adds no virtual time of its own — all pacing
+// comes from the base driver and the simulated wire.  Sub-link
+// establishment order and the reassembly map are deterministic, so a
+// striped transfer is bit-identical across runs.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +48,7 @@
 
 #include "core/host.hpp"
 #include "core/task.hpp"
-#include "vlink/driver.hpp"
+#include "vlink/adapter.hpp"
 #include "vlink/link.hpp"
 
 namespace padico::vlink {
@@ -103,11 +99,6 @@ core::Bytes encode_sub(const SubHeader& h);
 /// nullopt for truncated input, a bad magic, an unknown kind or an
 /// oversized data length; never reads past `frame.size()`.
 std::optional<SubHeader> decode_sub(core::ByteView frame);
-
-/// The base-driver port a pstream rendezvous on logical port `p` uses.
-constexpr core::Port sub_port(core::Port p) {
-  return static_cast<core::Port>(p ^ 0x8000);
-}
 
 }  // namespace pstream
 
@@ -163,75 +154,33 @@ class PstreamLink final : public Link {
   obs::Histogram* obs_chunk_bytes_;
 };
 
-class PstreamDriver final : public Driver {
+class PstreamDriver final : public AdapterDriver {
  public:
   /// Stripes over `width` connections of `base` (borrowed; registered
   /// on the same VLink before this driver).
   PstreamDriver(core::Host& host, Driver& base, std::string name, int width);
-  ~PstreamDriver() override;
-
-  /// Claims the base driver's port `sub_port(port)` for the
-  /// rendezvous.  Throws std::logic_error if that port is already
-  /// served — i.e. something listens on both P and P ^ 0x8000 through
-  /// the same base driver — instead of silently clobbering it.
-  void listen(core::Port port, AcceptFn on_accept) override;
-  void unlisten(core::Port port) override;
-  bool listening(core::Port port) const override {
-    return listeners_.count(port) != 0;
-  }
-  bool can_listen(core::Port port) const override {
-    // Free unless the mapped rendezvous port is already serving
-    // something else on the base driver (re-listening a logical port
-    // this driver owns stays allowed: that claim is ours).
-    return listeners_.count(port) != 0 ||
-           !base_->listening(pstream::sub_port(port));
-  }
-  void connect(const RemoteAddr& remote, ConnectFn on_connect) override;
-  bool reaches(core::NodeId node) const override {
-    return base_->reaches(node);
-  }
-
-  // Striping adds no recovery; a lossy base stays lossy.
-  bool lossy() const override { return base_->lossy(); }
-
-  int width() const noexcept { return width_; }
-  Driver& base() const noexcept { return *base_; }
-
-  /// Establishment sub-frames that failed to parse or matched no
-  /// listener / group (their sub-link is dropped).
-  std::uint64_t malformed_hellos() const noexcept { return malformed_hellos_; }
 
   /// Stream groups still waiting for sub-links.  The stack has no
   /// connection-teardown protocol (FrameLink death is local), so a
   /// group abandoned by its connector mid-establishment stays pending
   /// until the driver dies — visible here for diagnostics, bounded by
   /// the number of failed establishment attempts.
-  std::size_t pending_groups() const noexcept { return accepting_.size(); }
+  std::size_t pending_groups() const noexcept { return groups_.size(); }
 
  private:
-  struct PendingHello {
-    std::unique_ptr<Link> sub;
-    bool done = false;  // swept lazily at the next base accept
-    core::Task reader;
-  };
   struct PendingGroup {
     core::Port port = 0;
-    std::uint16_t width = 0;
-    std::vector<std::unique_ptr<Link>> slots;
-    std::uint16_t filled = 0;
+    std::vector<std::unique_ptr<Link>> slots;  // one per sub-link index
+    std::size_t filled = 0;
   };
 
-  core::Task read_hello(std::uint64_t key, core::Port logical_port);
+  void dial(const RemoteAddr& remote, ConnectFn on_connect) override;
+  bool accept_hello(core::Port port, std::unique_ptr<Link>& sub,
+                    core::ByteView hello) override;
 
-  core::Host* host_;
-  Driver* base_;
   int width_;
   std::uint64_t next_group_ = 1;
-  std::uint64_t next_hello_key_ = 1;
-  std::uint64_t malformed_hellos_ = 0;
-  std::map<core::Port, AcceptFn> listeners_;          // by logical port
-  std::map<std::uint64_t, PendingHello> hellos_;      // awaiting their hello
-  std::map<std::uint64_t, PendingGroup> accepting_;   // by stream-group id
+  std::map<std::uint64_t, PendingGroup> groups_;  // by stream-group id
 };
 
 }  // namespace padico::vlink

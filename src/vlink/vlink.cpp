@@ -38,8 +38,8 @@ void VLink::set_policy(SelectionPolicy* policy) {
 
 void VLink::listen(core::Port port, Driver::AcceptFn on_accept) {
   // Validate across ALL drivers before registering with any, so a
-  // port-space collision (e.g. pstream's P ^ 0x8000 rendezvous
-  // mapping) throws with every driver's books untouched.
+  // port-space collision (e.g. with an adapter's rendezvous port)
+  // throws with every driver's books untouched.
   for (const auto& d : drivers_) {
     if (!d->can_listen(port)) {
       throw std::logic_error("vlink: driver '" + d->name() +

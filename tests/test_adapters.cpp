@@ -1,13 +1,15 @@
 // The adapter layer: padico::compress codecs, the VRP loss-tolerant
-// retransmit/give-up FSM, and the AdOC adaptive compression
-// controller — all driven end-to-end through Grid-built topologies on
-// the deterministic engine, so every loss pattern and every controller
-// decision is reproducible.
+// retransmit/give-up FSM, the AdOC adaptive compression controller, and
+// the rendezvous contract all three adapters (pstream, vrp, adoc) share
+// through vlink::AdapterDriver — all driven end-to-end through
+// Grid-built topologies on the deterministic engine, so every loss
+// pattern and every controller decision is reproducible.
 #include "adapters/adoc.hpp"
 #include "adapters/vrp.hpp"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +19,8 @@
 #include "core/core.hpp"
 #include "grid/grid.hpp"
 #include "simnet/simnet.hpp"
+#include "vlink/frame_driver.hpp"
+#include "vlink/pstream_driver.hpp"
 
 namespace pc = padico::core;
 namespace sn = padico::simnet;
@@ -377,15 +381,239 @@ TEST(Adoc, ControllerSwitchesLevelMidStream) {
   EXPECT_GE(adoc->level_switches(), 1u);
 }
 
-TEST(Adoc, ListenCollisionOnRendezvousPortThrows) {
-  Pair p(sn::profiles::ethernet100(), 0.0);
-  vl::VLink& v1 = p.grid.node(1).vlink();
-  // The adoc rendezvous for logical port 6000 claims base port
-  // 6000 ^ 0xC000 on "sysio"; listening there first must collide.
-  v1.driver("sysio")->listen(
-      static_cast<pc::Port>(6000 ^ 0xC000),
-      [](std::unique_ptr<vl::Link>) {});
-  EXPECT_THROW(
-      v1.driver("adoc")->listen(6000, [](std::unique_ptr<vl::Link>) {}),
-      std::logic_error);
+// ---------------------------------------------------------------------------
+// The adapter rendezvous contract, over all three adapters
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A well-formed establishment hello of `method` for logical `port`
+/// (pstream: a width-1 group, complete on its own).
+pc::Bytes hello_for(const std::string& method, pc::Port port) {
+  if (method == "pstream") {
+    vl::pstream::SubHeader h;
+    h.kind = vl::pstream::SubKind::hello;
+    h.width = 1;
+    h.port = port;
+    h.id = 0x77;
+    return vl::pstream::encode_sub(h);
+  }
+  if (method == "vrp") {
+    vl::vrp::Header h;
+    h.kind = vl::vrp::Kind::hello;
+    return vl::vrp::encode_header(h);
+  }
+  vl::adoc::Header h;
+  h.kind = vl::adoc::Kind::hello;
+  return vl::adoc::encode_header(h);
+}
+
+/// Two nodes on one WAN carrying sysio plus all three adapters.  The
+/// grid only stacks vrp on a lossy profile, so the network is built
+/// lossy and made lossless before the test sends anything: every frame
+/// below arrives.
+class RendezvousRig {
+ public:
+  RendezvousRig() {
+    grid.add_nodes(2);
+    sn::LinkModel lossy = sn::profiles::vthd_wan();
+    lossy.loss_rate = 0.01;
+    const sn::NetId net = grid.add_network(lossy);
+    grid.attach(net, 0);
+    grid.attach(net, 1);
+    grid.build();
+    grid.fabric().network(net).set_model(sn::profiles::vthd_wan());
+  }
+
+  vl::VLink& server() { return grid.node(1).vlink(); }
+  vl::Driver& server_base() { return *server().driver("sysio"); }
+  vl::AdapterDriver& adapter(const std::string& method) {
+    return dynamic_cast<vl::AdapterDriver&>(*server().driver(method));
+  }
+
+  /// A raw sysio connection from node 0 to node 1's base port `port`.
+  std::unique_ptr<vl::Link> raw_connect(pc::Port port) {
+    std::unique_ptr<vl::Link> raw;
+    grid.node(0).vlink().driver("sysio")->connect(
+        {1, port}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+          ASSERT_TRUE(r.ok()) << r.error().message;
+          raw = std::move(*r);
+        });
+    grid.engine().run_while_pending([&] { return raw != nullptr; });
+    EXPECT_TRUE(raw);
+    return raw;
+  }
+
+  /// Connect node 0 -> node 1 through `method`; true once both ends hold
+  /// a link (the accepted one lands in `*accepted`).
+  bool establishes(const std::string& method, pc::Port port,
+                   std::unique_ptr<vl::Link>* accepted) {
+    std::unique_ptr<vl::Link> a;
+    grid.node(0).vlink().connect(
+        method, {1, port}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+          ASSERT_TRUE(r.ok()) << r.error().message;
+          a = std::move(*r);
+        });
+    grid.engine().run_while_pending([&] { return a && *accepted; });
+    return a && *accepted;
+  }
+
+  gr::Grid grid;
+};
+
+class AdapterRendezvous : public ::testing::TestWithParam<std::string> {
+ protected:
+  vl::AdapterDriver& adapter() { return rig.adapter(GetParam()); }
+  RendezvousRig rig;
+};
+
+}  // namespace
+
+TEST_P(AdapterRendezvous, CollisionOnTheMappedPortThrowsWithNoDriverMutated) {
+  vl::VLink& v = rig.server();
+  const pc::Port port = 6000;
+  const pc::Port mapped = adapter().rendezvous_port(port);
+  EXPECT_NE(mapped, port);
+  EXPECT_EQ(adapter().rendezvous_port(mapped), port);  // an involution
+  int direct = 0;
+  rig.server_base().listen(mapped,
+                           [&](std::unique_ptr<vl::Link>) { ++direct; });
+
+  auto sink = [](std::unique_ptr<vl::Link>) {};
+  EXPECT_FALSE(adapter().can_listen(port));
+  EXPECT_THROW(adapter().listen(port, sink), std::logic_error);
+  EXPECT_THROW(v.listen(port, sink), std::logic_error);
+  for (const auto& d : v.drivers()) {
+    EXPECT_FALSE(d->listening(port)) << d->name();
+  }
+  // The direct base listener still serves its port.
+  std::unique_ptr<vl::Link> raw = rig.raw_connect(mapped);
+  EXPECT_EQ(direct, 1);
+
+  // The pair collision through one VLink: P, then P's mapped port.
+  const pc::Port p2 = 0x1000;
+  v.listen(p2, sink);
+  EXPECT_THROW(v.listen(adapter().rendezvous_port(p2), sink),
+               std::logic_error);
+  // Re-listening a logical port the adapter owns is a handler update.
+  EXPECT_NO_THROW(adapter().listen(p2, sink));
+}
+
+TEST_P(AdapterRendezvous, UnlistenOfANeverListenedPortKeepsTheBaseListener) {
+  const pc::Port port = 6100;
+  const pc::Port mapped = adapter().rendezvous_port(port);
+  int direct = 0;
+  rig.server_base().listen(mapped,
+                           [&](std::unique_ptr<vl::Link>) { ++direct; });
+  adapter().unlisten(port);
+  EXPECT_TRUE(rig.server_base().listening(mapped));
+  std::unique_ptr<vl::Link> raw = rig.raw_connect(mapped);
+  EXPECT_EQ(direct, 1);
+}
+
+TEST_P(AdapterRendezvous,
+       GarbageFirstFrameIsCountedAndDoesNotWedgeTheListener) {
+  const pc::Port port = 6200;
+  std::unique_ptr<vl::Link> accepted;
+  adapter().listen(
+      port, [&](std::unique_ptr<vl::Link> l) { accepted = std::move(l); });
+  std::unique_ptr<vl::Link> raw =
+      rig.raw_connect(adapter().rendezvous_port(port));
+  pc::Rng rng(0x5eed0007);
+  pc::Bytes junk(24, 0);
+  for (auto& b : junk) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  junk[0] = 0xff;  // no adapter magic starts with 0xff
+  raw->post_write(pc::view_of(junk));
+  rig.grid.engine().run_until_idle();
+  EXPECT_EQ(adapter().malformed_hellos(), 1u);
+  EXPECT_FALSE(accepted);
+
+  // A real connect on the same port still establishes.
+  EXPECT_TRUE(rig.establishes(GetParam(), port, &accepted));
+  EXPECT_EQ(adapter().malformed_hellos(), 1u);
+}
+
+TEST_P(AdapterRendezvous, UnlistenBeforeTheHelloDropsTheHalfOpenLink) {
+  const pc::Port port = 6300;
+  adapter().listen(port, [](std::unique_ptr<vl::Link>) {
+    ADD_FAILURE() << "accepted on an unlistened port";
+  });
+  auto& base = dynamic_cast<vl::FrameDriver&>(rig.server_base());
+  std::unique_ptr<vl::Link> raw =
+      rig.raw_connect(adapter().rendezvous_port(port));
+  EXPECT_EQ(adapter().pending_accepts(), 1u);
+  EXPECT_EQ(base.open_connections(), 1u);
+
+  adapter().unlisten(port);
+  EXPECT_EQ(adapter().pending_accepts(), 0u);
+  EXPECT_EQ(base.open_connections(), 0u);  // the half-open link is gone
+  EXPECT_FALSE(rig.server_base().listening(adapter().rendezvous_port(port)));
+
+  // The hello now lands on a closed connection: nothing answers it.
+  raw->post_write(pc::view_of(hello_for(GetParam(), port)));
+  rig.grid.engine().run_until_idle();
+  EXPECT_EQ(adapter().pending_accepts(), 0u);
+  EXPECT_EQ(adapter().malformed_hellos(), 0u);
+  EXPECT_EQ(raw->rx_frames(), 0u);
+}
+
+TEST_P(AdapterRendezvous, ListenerMayUnlistenFromInsideItsAccept) {
+  // A one-shot server: the accept callback runs inside the hello's
+  // delivery and unlistens, which drops the port's other half-open
+  // link and the finishing entry itself (ASan-checked).
+  const pc::Port port = 6350;
+  std::unique_ptr<vl::Link> accepted;
+  adapter().listen(port, [&](std::unique_ptr<vl::Link> l) {
+    accepted = std::move(l);
+    adapter().unlisten(port);
+  });
+  std::unique_ptr<vl::Link> half_open =
+      rig.raw_connect(adapter().rendezvous_port(port));
+  EXPECT_TRUE(rig.establishes(GetParam(), port, &accepted));
+  EXPECT_FALSE(adapter().listening(port));
+  EXPECT_EQ(adapter().pending_accepts(), 0u);
+  EXPECT_EQ(adapter().malformed_hellos(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Adapters, AdapterRendezvous,
+                         ::testing::Values("pstream", "vrp", "adoc"),
+                         [](const auto& info) { return info.param; });
+
+TEST(AdapterRendezvousAll, AllAdaptersAndTheBaseShareOneLogicalPort) {
+  RendezvousRig rig;
+  const pc::Port port = 6400;
+  std::map<std::string, std::unique_ptr<vl::Link>> accepted;
+  for (const char* m : {"sysio", "pstream", "vrp", "adoc"}) {
+    rig.server().driver(m)->listen(port, [&, m](std::unique_ptr<vl::Link> l) {
+      accepted[m] = std::move(l);
+    });
+  }
+  for (const char* m : {"sysio", "pstream", "vrp", "adoc"}) {
+    EXPECT_TRUE(rig.establishes(m, port, &accepted[m])) << m;
+  }
+  EXPECT_NE(dynamic_cast<vl::PstreamLink*>(accepted["pstream"].get()), nullptr);
+  EXPECT_NE(dynamic_cast<vl::VrpLink*>(accepted["vrp"].get()), nullptr);
+  EXPECT_NE(dynamic_cast<vl::AdocLink*>(accepted["adoc"].get()), nullptr);
+  for (const char* m : {"pstream", "vrp", "adoc"}) {
+    EXPECT_EQ(rig.adapter(m).malformed_hellos(), 0u) << m;
+  }
+}
+
+TEST(AdapterRendezvousAll, PstreamFirstDatagramLongerThanOneHelloIsMalformed) {
+  // Every pstream hello is its own write, so a longer first datagram is
+  // never a hello followed by data: it is garbage.
+  RendezvousRig rig;
+  const pc::Port port = 6500;
+  rig.adapter("pstream").listen(port, [](std::unique_ptr<vl::Link>) {
+    ADD_FAILURE() << "accepted a malformed hello";
+  });
+  auto& drv = dynamic_cast<vl::PstreamDriver&>(rig.adapter("pstream"));
+  std::unique_ptr<vl::Link> raw =
+      rig.raw_connect(drv.rendezvous_port(port));
+  pc::Bytes frame = hello_for("pstream", port);
+  frame.resize(frame.size() + 8, 0xab);
+  raw->post_write(pc::view_of(frame));
+  rig.grid.engine().run_until_idle();
+  EXPECT_EQ(drv.malformed_hellos(), 1u);
+  EXPECT_EQ(drv.pending_groups(), 0u);
 }

@@ -55,6 +55,13 @@ Pair pstream_pair(gr::Grid& grid, pc::Port port) {
   return p;
 }
 
+/// The base port node 1's pstream rendezvous on logical `port` uses.
+pc::Port rendezvous(gr::Grid& grid, pc::Port port) {
+  return dynamic_cast<vl::PstreamDriver&>(
+             *grid.node(1).vlink().driver("pstream"))
+      .rendezvous_port(port);
+}
+
 pc::Bytes pattern(std::size_t n, std::uint8_t salt = 0) {
   pc::Bytes b(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -171,12 +178,12 @@ TEST(Pstream, OutOfOrderSubFramesReassembleInSequence) {
 
   vl::Driver* sysio = grid.node(0).vlink().driver("sysio");
   std::unique_ptr<vl::Link> raw0, raw1;
-  sysio->connect({1, ps::sub_port(port)},
+  sysio->connect({1, rendezvous(grid, port)},
                  [&](pc::Result<std::unique_ptr<vl::Link>> r) {
                    ASSERT_TRUE(r.ok());
                    raw0 = std::move(*r);
                  });
-  sysio->connect({1, ps::sub_port(port)},
+  sysio->connect({1, rendezvous(grid, port)},
                  [&](pc::Result<std::unique_ptr<vl::Link>> r) {
                    ASSERT_TRUE(r.ok());
                    raw1 = std::move(*r);
@@ -243,7 +250,8 @@ TEST(Pstream, GarbageHelloIsCountedAndDoesNotWedgeTheListener) {
   // A raw peer connects to the rendezvous port and talks garbage.
   std::unique_ptr<vl::Link> raw;
   grid.node(0).vlink().driver("sysio")->connect(
-      {1, ps::sub_port(port)}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+      {1, rendezvous(grid, port)},
+      [&](pc::Result<std::unique_ptr<vl::Link>> r) {
         ASSERT_TRUE(r.ok());
         raw = std::move(*r);
       });
@@ -281,7 +289,8 @@ TEST(Pstream, GarbageDataSubFramePoisonsOnlyItsSubLink) {
       port, [&](std::unique_ptr<vl::Link> l) { accepted = std::move(l); });
   std::unique_ptr<vl::Link> raw;
   grid.node(0).vlink().driver("sysio")->connect(
-      {1, ps::sub_port(port)}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+      {1, rendezvous(grid, port)},
+      [&](pc::Result<std::unique_ptr<vl::Link>> r) {
         ASSERT_TRUE(r.ok());
         raw = std::move(*r);
       });
@@ -328,20 +337,6 @@ TEST(Pstream, GarbageDataSubFramePoisonsOnlyItsSubLink) {
   EXPECT_TRUE(done);
 }
 
-TEST(Pstream, ListenDetectsRendezvousPortCollision) {
-  // The rendezvous mapping pairs P with P ^ 0x8000 on the base driver;
-  // listening on both through one VLink must fail loudly, not clobber
-  // one of the accept handlers silently.
-  gr::Grid grid;
-  wan_pair(grid, 2);
-  auto sink = [](std::unique_ptr<vl::Link>) {};
-  grid.node(1).vlink().listen(0x1000, sink);
-  EXPECT_THROW(grid.node(1).vlink().listen(0x1000 ^ 0x8000, sink),
-               std::logic_error);
-  // Re-listening the same logical port stays allowed (handler update).
-  grid.node(1).vlink().driver("pstream")->listen(0x1000, sink);
-}
-
 TEST(Pstream, OversizedHelloWidthIsGarbageNotAStrandedGroup) {
   // The index field is one byte, so width > 255 can never complete;
   // the hello must be rejected outright instead of pinning sub-links
@@ -355,7 +350,8 @@ TEST(Pstream, OversizedHelloWidthIsGarbageNotAStrandedGroup) {
       grid.node(1).vlink().driver("pstream"));
   std::unique_ptr<vl::Link> raw;
   grid.node(0).vlink().driver("sysio")->connect(
-      {1, ps::sub_port(port)}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+      {1, rendezvous(grid, port)},
+      [&](pc::Result<std::unique_ptr<vl::Link>> r) {
         ASSERT_TRUE(r.ok());
         raw = std::move(*r);
       });
