@@ -54,7 +54,6 @@ double vlink_latency_with_combining(bool combining) {
   return link_latency_us(grid, p);
 }
 
-#ifdef BENCH_HAVE_MPI
 /// Build the paper testbed with combining on/off and measure MPI.
 std::pair<double, double> mpi_with_combining(bool combining) {
   gr::Grid grid;
@@ -64,7 +63,6 @@ std::pair<double, double> mpi_with_combining(bool combining) {
   const double bw_small = mpi_bandwidth_mbps(grid, p, 256);
   return {lat, bw_small};
 }
-#endif
 
 void print_row(const char* label, double on, double off) {
   std::printf("%-28s %10.2fus %10.2fus %+9.2fus\n", label, on, off, off - on);
@@ -84,17 +82,12 @@ int main() {
   }
   print_row("VLink one-way latency", vlink_latency_with_combining(true),
             vlink_latency_with_combining(false));
-#ifdef BENCH_HAVE_MPI
   auto [mpi_on_lat, mpi_on_bw] = mpi_with_combining(true);
   auto [mpi_off_lat, mpi_off_bw] = mpi_with_combining(false);
   print_row("MPI one-way latency", mpi_on_lat, mpi_off_lat);
   std::printf("%-28s %10.1fMB %10.1fMB %+9.1f%%\n",
               "MPI bandwidth @256B (MB/s)", mpi_on_bw, mpi_off_bw,
               (mpi_off_bw / mpi_on_bw - 1.0) * 100);
-#else
-  std::printf("%-28s %12s\n", "MPI one-way latency",
-              "(middleware layer not built yet)");
-#endif
   std::printf("\n# the naive scheme sends the MadIO header as its own "
               "hardware message:\n# every layered message pays one extra "
               "per-message cost — visible in\n# latency at every size, "

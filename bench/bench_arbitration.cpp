@@ -47,8 +47,6 @@ ConcurrentResult run_concurrent(int sys_weight, int mad_weight,
   auto set = grid.make_circuit("arb-mpi", padico::circuit::Group({0, 1}),
                                0x70, 4800);
   padico::mpi::Comm c0(set.at(0)), c1(set.at(1));
-  c0.attach(grid, 0);
-  c1.attach(grid, 1);
 
   // Distributed paradigm: a CORBA echo service pinned to Ethernet.
   padico::orb::Orb server(grid.node(1).host(), grid.node(1).vlink(),
@@ -60,8 +58,6 @@ ConcurrentResult run_concurrent(int sys_weight, int mad_weight,
   server.start();
   padico::orb::Orb client(grid.node(0).host(), grid.node(0).vlink(),
                           padico::orb::profiles::omniorb4(), 4821, "sysio");
-  server.attach(grid, 1);
-  client.attach(grid, 0);
   const padico::orb::ObjectRef echo = server.ref_of("echo");
 
   const pc::Duration window = pc::milliseconds(50);

@@ -79,14 +79,12 @@ double madio_us(bool combining, int rounds = 64) {
   Stack s;
   net::MadIO io0(*s.a0, *s.m0, combining);
   net::MadIO io1(*s.a1, *s.m1, combining);
-  io0.open_logical(1);
-  io1.open_logical(1);
   int pongs = 0;
   pc::SimTime t0 = s.engine.now(), t1 = 0;
   auto send = [](net::MadIO& io, pc::NodeId dst) {
     md::PackHandle h = io.begin(1, dst);
     h.pack(pc::view_of("ping"), md::SendMode::safer);
-    io.end(std::move(h), 1, dst);
+    io.end(std::move(h));
   };
   io1.set_handler(1, [&](pc::NodeId, md::UnpackHandle&) { send(io1, 0); });
   io0.set_handler(1, [&](pc::NodeId, md::UnpackHandle&) {
@@ -124,7 +122,6 @@ int main(int argc, char** argv) {
               "software overhead on real\n# hardware); the naive scheme pays "
               "a full extra per-message cost.\n");
 
-#ifdef BENCH_HAVE_JSOCK
   // Full-stack reference: Java-socket ping-pong over the built Grid.
   // On the testbed the chooser routes the vlink over the madio driver,
   // so one round trip crosses personality (JVM CPU charge), vlink
@@ -141,6 +138,5 @@ int main(int argc, char** argv) {
                 "Java-socket one-way, full grid", lat.value);
     session.metric("jsock_fullstack.latency", "us", lat);
   }
-#endif
   return 0;
 }

@@ -8,9 +8,6 @@
 //   latency (us)      8.4    10.2     12.06        20.3      18.4     40
 //   bandwidth (MB/s)  240    239      238.7        238.4     235.8   237.9
 //
-// Rows light up as their layers land (the same __has_include guards as
-// bench/common.hpp); missing layers are listed as pending at the end.
-//
 // Reporting: latency means come from `n` measured ping-pong rounds
 // (per-round samples feed the bootstrap CI in BENCH_table1.json);
 // `warm` counts unmeasured warm-up rounds, printed separately so the
@@ -29,7 +26,6 @@ struct Row {
   double paper_bandwidth;
 };
 
-#ifdef BENCH_HAVE_CIRCUIT
 Row circuit_row() {
   gr::Grid grid;
   attach_testbed(grid);
@@ -39,7 +35,6 @@ Row circuit_row() {
   Run bw = circuit_bandwidth_run(grid, set, 1 << 20);
   return {"Circuit", std::move(lat), std::move(bw), 8.4, 240.0};
 }
-#endif
 
 Row vlink_row() {
   gr::Grid grid;
@@ -51,7 +46,6 @@ Row vlink_row() {
   return {"VLink", std::move(lat), std::move(bw), 10.2, 239.0};
 }
 
-#ifdef BENCH_HAVE_MPI
 Row mpi_row() {
   gr::Grid grid;
   attach_testbed(grid);
@@ -61,9 +55,7 @@ Row mpi_row() {
   Run bw = mpi_bandwidth_run(grid, p, 1 << 20);
   return {"MPICH", std::move(lat), std::move(bw), 12.06, 238.7};
 }
-#endif
 
-#ifdef BENCH_HAVE_ORB
 Row orb_row(padico::orb::OrbProfile profile, double paper_lat,
             double paper_bw, pc::Port port) {
   gr::Grid grid;
@@ -74,9 +66,7 @@ Row orb_row(padico::orb::OrbProfile profile, double paper_lat,
   Run bw = orb_bandwidth_run(grid, p, 1 << 20);
   return {profile.name, std::move(lat), std::move(bw), paper_lat, paper_bw};
 }
-#endif
 
-#ifdef BENCH_HAVE_JSOCK
 Row jsock_row() {
   gr::Grid grid;
   attach_testbed(grid);
@@ -86,7 +76,6 @@ Row jsock_row() {
   Run bw = jsock_bandwidth_run(grid, p, 1 << 20);
   return {"Java-socket", std::move(lat), std::move(bw), 40.0, 237.9};
 }
-#endif
 
 }  // namespace
 
@@ -97,47 +86,23 @@ int main(int argc, char** argv) {
   std::printf("%-14s %14s %12s %5s %5s %16s %14s\n", "system", "latency(us)",
               "paper(us)", "n", "warm", "bandwidth(MB/s)", "paper(MB/s)");
   std::vector<Row> rows;
-  std::vector<std::string> pending;
-#ifdef BENCH_HAVE_CIRCUIT
   rows.push_back(circuit_row());
-#else
-  pending.push_back("Circuit (madeleine/circuit.hpp)");
-#endif
   rows.push_back(vlink_row());
-#ifdef BENCH_HAVE_MPI
   rows.push_back(mpi_row());
-#else
-  pending.push_back("MPICH (middleware/mpi/mpi.hpp)");
-#endif
-#ifdef BENCH_HAVE_ORB
   rows.push_back(orb_row(padico::orb::profiles::omniorb3(), 20.3, 238.4, 3430));
   rows.push_back(orb_row(padico::orb::profiles::omniorb4(), 18.4, 235.8, 3435));
-#else
-  pending.push_back("omniORB3/omniORB4 (middleware/corba/orb.hpp)");
-#endif
-#ifdef BENCH_HAVE_JSOCK
   rows.push_back(jsock_row());
-#else
-  pending.push_back("Java-socket (middleware/javasock/jsock.hpp)");
-#endif
-#ifdef BENCH_HAVE_ORB
   // Not in the paper's Table 1, but quoted in its Section 5 text:
   // "Mico peaks at 55 MB/s with a latency of 63us, and ORBacus gets
   //  63 MB/s with a latency of 54us."
   rows.push_back(orb_row(padico::orb::profiles::mico(), 63.0, 55.0, 3450));
   rows.push_back(orb_row(padico::orb::profiles::orbacus(), 54.0, 63.0, 3455));
-#else
-  pending.push_back("Mico/ORBacus §5 rows (middleware/corba/orb.hpp)");
-#endif
   for (const Row& r : rows) {
     std::printf("%-14s %14.2f %12.2f %5d %5d %16.1f %14.1f\n", r.name.c_str(),
                 r.latency.value, r.paper_latency, r.latency.n(),
                 r.latency.warmup, r.bandwidth.value, r.paper_bandwidth);
     session.metric(r.name + ".latency", "us", r.latency);
     session.metric(r.name + ".bandwidth", "MB/s", r.bandwidth);
-  }
-  for (const std::string& p : pending) {
-    std::printf("# pending: %s\n", p.c_str());
   }
   return 0;
 }

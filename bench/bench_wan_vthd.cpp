@@ -8,8 +8,7 @@
 // Ethernet-100."
 //
 // The raw-TCP row, the latency row and the ParallelStreams sweep run on
-// the selector/pstream layers; the middleware rows light up via the
-// __has_include guards in common.hpp once the personalities land.
+// the selector/pstream layers, the middleware rows on the personalities.
 // Every figure also lands in BENCH_wan_vthd.json with a bootstrap CI.
 #include "common.hpp"
 
@@ -34,7 +33,6 @@ Run raw_tcp_bw() {
   return link_bandwidth_run(grid, p, 256 * 1024);
 }
 
-#ifdef BENCH_HAVE_MPI
 Run mpi_bw() {
   gr::Grid grid;
   wan_grid(grid);
@@ -45,9 +43,7 @@ Run mpi_bw() {
   MpiPair p = make_mpi_wan_pair(grid, 4600);
   return mpi_bandwidth_run(grid, p, 256 * 1024);
 }
-#endif
 
-#ifdef BENCH_HAVE_ORB
 Run orb_bw() {
   gr::Grid grid;
   wan_grid(grid);
@@ -56,9 +52,7 @@ Run orb_bw() {
   OrbPair p = make_orb_pair(grid, padico::orb::profiles::omniorb4(), 4610);
   return orb_bandwidth_run(grid, p, 256 * 1024);
 }
-#endif
 
-#ifdef BENCH_HAVE_JSOCK
 Run jsock_bw() {
   gr::Grid grid;
   wan_grid(grid);
@@ -67,7 +61,6 @@ Run jsock_bw() {
   JsockPair p = make_jsock_pair(grid, 4620);
   return jsock_bandwidth_run(grid, p, 256 * 1024);
 }
-#endif
 
 Run wan_latency_run() {
   gr::Grid grid;
@@ -99,33 +92,21 @@ int main(int argc, char** argv) {
     std::printf("%-12s %10.2f\n", "raw-TCP", r.value);
     session.metric("raw-TCP.bandwidth", "MB/s", r);
   }
-#ifdef BENCH_HAVE_MPI
   {
     const Run r = mpi_bw();
     std::printf("%-12s %10.2f\n", "MPI", r.value);
     session.metric("MPI.bandwidth", "MB/s", r);
   }
-#else
-  std::printf("%-12s %10s\n", "MPI", "pending");
-#endif
-#ifdef BENCH_HAVE_ORB
   {
     const Run r = orb_bw();
     std::printf("%-12s %10.2f\n", "omniORB-4", r.value);
     session.metric("omniORB-4.bandwidth", "MB/s", r);
   }
-#else
-  std::printf("%-12s %10s\n", "omniORB-4", "pending");
-#endif
-#ifdef BENCH_HAVE_JSOCK
   {
     const Run r = jsock_bw();
     std::printf("%-12s %10.2f\n", "Java-socket", r.value);
     session.metric("Java-socket.bandwidth", "MB/s", r);
   }
-#else
-  std::printf("%-12s %10s\n", "Java-socket", "pending");
-#endif
 
   std::printf("\n## one-way latency (paper: 8 ms)\n");
   {

@@ -18,31 +18,13 @@
 
 #include "core/rng.hpp"
 #include "grid/grid.hpp"
-#include "obs/obs.hpp"
-#include "selector/selector.hpp"
-
-// Middleware layers land PR by PR; each driver section below compiles
-// once its library exists, so the base helpers (testbed, vlink drivers)
-// stay usable from day one.
-#if __has_include("middleware/corba/orb.hpp")
-#define BENCH_HAVE_ORB 1
-#include "middleware/corba/orb.hpp"
-#endif
-#if __has_include("middleware/javasock/jsock.hpp")
-#define BENCH_HAVE_JSOCK 1
-#include "middleware/javasock/jsock.hpp"
-#endif
-#if __has_include("middleware/mpi/mpi.hpp")
-#define BENCH_HAVE_MPI 1
-#include "middleware/mpi/mpi.hpp"
-#endif
-#if __has_include("madeleine/circuit.hpp")
-#define BENCH_HAVE_CIRCUIT 1
 #include "madeleine/circuit.hpp"
-#endif
-#if __has_include("personalities/vio.hpp")
+#include "middleware/corba/orb.hpp"
+#include "middleware/javasock/jsock.hpp"
+#include "middleware/mpi/mpi.hpp"
+#include "obs/obs.hpp"
 #include "personalities/vio.hpp"
-#endif
+#include "selector/selector.hpp"
 
 namespace bench {
 
@@ -295,8 +277,6 @@ class Session {
 // MPI drivers
 // ---------------------------------------------------------------------------
 
-#ifdef BENCH_HAVE_MPI
-
 struct MpiPair {
   std::unique_ptr<gr::CircuitSet> set;
   std::unique_ptr<padico::mpi::Comm> c0, c1;
@@ -434,13 +414,9 @@ inline double mpi_bandwidth_mbps(gr::Grid& grid, MpiPair& p,
   return mpi_bandwidth_run(grid, p, size).value;
 }
 
-#endif  // BENCH_HAVE_MPI
-
 // ---------------------------------------------------------------------------
 // ORB drivers
 // ---------------------------------------------------------------------------
-
-#ifdef BENCH_HAVE_ORB
 
 struct OrbPair {
   std::unique_ptr<padico::orb::Orb> server, client;
@@ -500,10 +476,6 @@ inline Run orb_latency_run(gr::Grid& grid, OrbPair& p, int rounds = 32,
   return run;
 }
 
-inline double orb_latency_us(gr::Grid& grid, OrbPair& p, int rounds = 32) {
-  return orb_latency_run(grid, p, rounds).value;
-}
-
 inline Run orb_bandwidth_run(gr::Grid& grid, OrbPair& p, std::size_t size) {
   const int count = message_count(size);
   const int windows = std::min(kBwWindows, count);
@@ -557,18 +529,9 @@ inline Run orb_bandwidth_run(gr::Grid& grid, OrbPair& p, std::size_t size) {
   return run;
 }
 
-inline double orb_bandwidth_mbps(gr::Grid& grid, OrbPair& p,
-                                 std::size_t size) {
-  return orb_bandwidth_run(grid, p, size).value;
-}
-
-#endif  // BENCH_HAVE_ORB
-
 // ---------------------------------------------------------------------------
 // Java socket drivers
 // ---------------------------------------------------------------------------
-
-#ifdef BENCH_HAVE_JSOCK
 
 struct JsockPair {
   std::shared_ptr<padico::jsock::JavaSocket> client, server;
@@ -628,10 +591,6 @@ inline Run jsock_latency_run(gr::Grid& grid, JsockPair& p, int rounds = 32,
   return run;
 }
 
-inline double jsock_latency_us(gr::Grid& grid, JsockPair& p, int rounds = 32) {
-  return jsock_latency_run(grid, p, rounds).value;
-}
-
 inline Run jsock_bandwidth_run(gr::Grid& grid, JsockPair& p,
                                std::size_t size) {
   const int count = message_count(size);
@@ -674,13 +633,6 @@ inline Run jsock_bandwidth_run(gr::Grid& grid, JsockPair& p,
                    marks.back() - t0);
   return run;
 }
-
-inline double jsock_bandwidth_mbps(gr::Grid& grid, JsockPair& p,
-                                   std::size_t size) {
-  return jsock_bandwidth_run(grid, p, size).value;
-}
-
-#endif  // BENCH_HAVE_JSOCK
 
 // ---------------------------------------------------------------------------
 // Raw VLink / Circuit / TCP drivers
@@ -830,8 +782,6 @@ inline double link_bandwidth_mbps(gr::Grid& grid, LinkPair& p,
   return link_bandwidth_run(grid, p, size, count).value;
 }
 
-#ifdef BENCH_HAVE_CIRCUIT
-
 /// Circuit-level ping-pong latency over a wired CircuitSet.
 inline Run circuit_latency_run(gr::Grid& grid, gr::CircuitSet& set,
                                int rounds = 32, int warmup = 0) {
@@ -910,7 +860,5 @@ inline double circuit_bandwidth_mbps(gr::Grid& grid, gr::CircuitSet& set,
                                      std::size_t size) {
   return circuit_bandwidth_run(grid, set, size).value;
 }
-
-#endif  // BENCH_HAVE_CIRCUIT
 
 }  // namespace bench

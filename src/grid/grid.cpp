@@ -11,7 +11,6 @@
 #include "drivers/san_driver.hpp"
 #include "madeleine/circuit.hpp"
 #include "madeleine/madeleine.hpp"
-#include "middleware/personality.hpp"
 #include "net/madio.hpp"
 #include "net/madio_driver.hpp"
 #include "net/netaccess.hpp"
@@ -50,28 +49,6 @@ net::Arbitration& Node::arbitration() noexcept {
 
 net::MadIO* Node::madio(std::size_t i) const noexcept {
   return i < madios_.size() ? madios_[i] : nullptr;
-}
-
-middleware::Personality* Node::personality(
-    const std::string& name) const noexcept {
-  auto it = personalities_.find(name);
-  return it == personalities_.end() ? nullptr : it->second;
-}
-
-void Node::add_personality(middleware::Personality& p) {
-  auto [it, inserted] = personalities_.emplace(p.name(), &p);
-  if (!inserted) {
-    throw std::logic_error("grid::Node " + std::to_string(id()) +
-                           ": personality '" + p.name() +
-                           "' already attached");
-  }
-}
-
-void Node::remove_personality(middleware::Personality& p) noexcept {
-  auto it = personalities_.find(p.name());
-  if (it != personalities_.end() && it->second == &p) {
-    personalities_.erase(it);
-  }
 }
 
 Grid::Grid() = default;

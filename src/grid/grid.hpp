@@ -58,22 +58,6 @@ namespace padico::selector {
 class Chooser;
 }  // namespace padico::selector
 
-// The middleware personalities register themselves on grid nodes
-// (middleware/personality.hpp); the grid only stores the pointers, so
-// forward declarations keep the layering acyclic.
-namespace padico::middleware {
-class Personality;
-}  // namespace padico::middleware
-namespace padico::mpi {
-class Comm;
-}  // namespace padico::mpi
-namespace padico::orb {
-class Orb;
-}  // namespace padico::orb
-namespace padico::jsock {
-class Jvm;
-}  // namespace padico::jsock
-
 namespace padico::grid {
 
 class CircuitSet;  // madeleine/circuit.hpp
@@ -137,29 +121,8 @@ class Node {
   /// node has no such attachment.
   net::MadIO* madio(std::size_t i = 0) const noexcept;
 
-  /// Middleware personality attached under `name`, or nullptr
-  /// (populated by Personality::attach).
-  middleware::Personality* personality(const std::string& name) const noexcept;
-
-  /// Typed sugar for the stock personalities, published on attach:
-  /// the node's MPI communicator, CORBA ORB and Java VM runtime.
-  mpi::Comm* mpi() const noexcept { return mpi_; }
-  orb::Orb* orb() const noexcept { return orb_; }
-  jsock::Jvm* jvm() const noexcept { return jvm_; }
-
  private:
   friend class Grid;
-  // Registry maintenance (add/remove + typed slots) is the attach
-  // protocol of middleware/personality.hpp, not public node API.
-  friend class middleware::Personality;
-  friend class mpi::Comm;
-  friend class orb::Orb;
-  friend class jsock::Jvm;
-
-  /// Register `p` under its name; throws std::logic_error if the name
-  /// is taken (two personalities may not share a node-local name).
-  void add_personality(middleware::Personality& p);
-  void remove_personality(middleware::Personality& p) noexcept;
 
   core::Host host_;
   vlink::VLink vlink_;
@@ -167,12 +130,6 @@ class Node {
   std::unique_ptr<net::NetAccess> access_;
   std::unique_ptr<selector::Chooser> chooser_;
   std::vector<net::MadIO*> madios_;  // borrowed from Grid's SAN stacks
-  // Personalities are borrowed too (their owners outlive their attach,
-  // detaching in ~Personality).
-  std::map<std::string, middleware::Personality*> personalities_;
-  mpi::Comm* mpi_ = nullptr;
-  orb::Orb* orb_ = nullptr;
-  jsock::Jvm* jvm_ = nullptr;
 };
 
 class Grid {

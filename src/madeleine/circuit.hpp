@@ -31,8 +31,10 @@
 // dispatch cost of the node's NetAccess pump, through which every
 // received circuit message competes with SysIO/MadIO flows.  A Circuit
 // borrows its NetAccess and Madeleine (the Grid owns both) and must be
-// destroyed before them; handlers and sequence state live in ordered
-// containers, so circuit traffic traces are bit-identical across runs.
+// destroyed before them.  Sequence state lives in a net::SeqBook,
+// whose hash maps are only point-looked-up, never iterated, and the
+// root's accept book is an ordered map, so circuit traffic traces are
+// bit-identical across runs.
 #pragma once
 
 #include <cstdint>

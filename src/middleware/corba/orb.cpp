@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "grid/grid.hpp"
 #include "middleware/corba/cdr.hpp"
 
 namespace padico::orb {
@@ -117,15 +116,8 @@ Orb::Orb(core::Host& host, vlink::VLink& vlink, OrbProfile profile,
       method_(std::move(method)) {}
 
 Orb::~Orb() {
-  detach();  // while unpublish() is still reachable
   *alive_ = false;
   if (started_) vlink_->unlisten(port_);
-}
-
-void Orb::publish(grid::Node& node) { node.orb_ = this; }
-
-void Orb::unpublish(grid::Node& node) noexcept {
-  if (node.orb_ == this) node.orb_ = nullptr;
 }
 
 void Orb::activate(const std::string& key, Method method) {

@@ -115,7 +115,7 @@ class Orb final : public middleware::Personality {
   /// the node's chooser, like any topology-unaware middleware.
   Orb(core::Host& host, vlink::VLink& vlink, OrbProfile profile,
       core::Port port, std::string method = {});
-  ~Orb() override;
+  ~Orb();
 
   const OrbProfile& profile() const noexcept { return profile_; }
   core::Port port() const noexcept { return port_; }
@@ -146,10 +146,6 @@ class Orb final : public middleware::Personality {
   std::uint64_t requests_sent() const noexcept { return requests_sent_; }
   std::uint64_t requests_served() const noexcept { return requests_served_; }
   std::uint64_t protocol_errors() const noexcept { return protocol_errors_; }
-
- protected:
-  void publish(grid::Node& node) override;
-  void unpublish(grid::Node& node) noexcept override;
 
  private:
   static constexpr std::size_t kFrameHeader = 9;

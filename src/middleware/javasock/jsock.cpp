@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "grid/grid.hpp"
-
 namespace padico::jsock {
 
 middleware::CostModel jvm_costs() {
@@ -13,12 +11,6 @@ middleware::CostModel jvm_costs() {
   // runs far above the SAN's 250 MB/s).
   return {"JVM-1.4", core::nanoseconds(18000), core::nanoseconds(14000),
           500'000'000};
-}
-
-void Jvm::publish(grid::Node& node) { node.jvm_ = this; }
-
-void Jvm::unpublish(grid::Node& node) noexcept {
-  if (node.jvm_ == this) node.jvm_ = nullptr;
 }
 
 JavaSocket::JavaSocket(std::shared_ptr<vio::Socket> sock,

@@ -7,7 +7,7 @@
 // the Java heap and native buffers — heavy per-message cost — but the
 // underlying transport is still the full-speed SAN, so bulk transfers
 // ride the wire.  `Jvm` is that runtime's cost personality (one per
-// node, `node.jvm()` once attached); `JavaSocket` is the
+// node, shared by that node's sockets); `JavaSocket` is the
 // java.net.Socket shape: awaitable blocking `write` / `read_n` whose
 // JNI+copy cost is charged to the VM's serialized CPU before the
 // bytes touch the VIO socket.
@@ -43,11 +43,6 @@ class Jvm final : public middleware::Personality {
   explicit Jvm(core::Engine& engine,
                middleware::CostModel costs = jvm_costs())
       : Personality("jvm", std::move(costs), engine) {}
-  ~Jvm() override { detach(); }  // while unpublish() is still reachable
-
- protected:
-  void publish(grid::Node& node) override;
-  void unpublish(grid::Node& node) noexcept override;
 };
 
 class JavaSocket {

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "grid/grid.hpp"
 #include "net/netaccess.hpp"
 
 namespace padico::mpi {
@@ -35,22 +34,8 @@ Comm::Comm(std::shared_ptr<vio::Socket> stream, int rank,
 }
 
 Comm::~Comm() {
-  detach();  // while unpublish() is still reachable
   if (ep_ != nullptr) ep_->set_recv_handler({});
   *alive_ = false;
-}
-
-void Comm::publish(grid::Node& node) {
-  // One tag namespace across personalities: reserve this circuit's
-  // tag on the node's SAN access (throws on a collision, in which
-  // case attach() unwinds cleanly).  Stream-backed Comms ride a
-  // connection of their own, so there is no tag to reserve.
-  if (ep_ != nullptr) acquire_tag(ep_->tag());
-  node.mpi_ = this;
-}
-
-void Comm::unpublish(grid::Node& node) noexcept {
-  if (node.mpi_ == this) node.mpi_ = nullptr;
 }
 
 void Comm::isend(int dst_rank, int tag, core::ByteView data) {

@@ -12,11 +12,12 @@
 // socket — the §5 configuration, where MPI gets the same ~9 MB/s as
 // every other middleware on one TCP stream.
 //
-// Message wire shape on the circuit: a 16-byte envelope
-// [u32 tag][u32 reserved][u64 seq] then the payload; seq is a
-// per-(peer rank, tag) contiguous number (net::SeqBook, the same book
-// MadIO and the circuit layer keep) so `seq_gaps()` detects miswiring
-// end to end.  Matching is (source rank, tag), FIFO per pair —
+// Message wire shape: a 16-byte envelope [u32 tag][u32 payload len]
+// [u64 seq] then the payload.  The length frames the message on the
+// stream fallback (a circuit keeps message boundaries, so its reader
+// ignores it); seq is a per-(peer rank, tag) contiguous number
+// (net::SeqBook, the same book MadIO and the circuit layer keep) so
+// `seq_gaps()` detects miswiring end to end.  Matching is (source rank, tag), FIFO per pair —
 // unexpected messages queue, like a real MPI unexpected-message queue.
 //
 // Ownership / determinism: a Comm borrows its circuit endpoint (the
@@ -58,7 +59,7 @@ class Comm final : public middleware::Personality {
   Comm(std::shared_ptr<vio::Socket> stream, int rank, core::Engine& engine,
        middleware::CostModel costs = mpich_costs());
 
-  ~Comm() override;
+  ~Comm();
 
   int rank() const noexcept { return rank_; }
   int size() const noexcept { return size_; }
@@ -94,14 +95,6 @@ class Comm final : public middleware::Personality {
   /// Frames too short to carry an MPI envelope (a miswired sender on
   /// this circuit); always 0 on a healthy stack, like seq_gaps().
   std::uint64_t dropped() const noexcept { return dropped_; }
-
- protected:
-  /// attach() additionally claims the circuit's tag on the node's
-  /// MadIO (circuit-backed Comms): the grid's tag space is one
-  /// namespace across personalities, so two middleware stacks can
-  /// never collide on a tag silently.
-  void publish(grid::Node& node) override;
-  void unpublish(grid::Node& node) noexcept override;
 
  private:
   static constexpr std::size_t kEnvelope = 16;

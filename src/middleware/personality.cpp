@@ -1,10 +1,6 @@
 #include "middleware/personality.hpp"
 
-#include <stdexcept>
 #include <utility>
-
-#include "grid/grid.hpp"
-#include "net/madio.hpp"
 
 namespace padico::middleware {
 
@@ -18,8 +14,6 @@ Personality::Personality(std::string name, CostModel costs,
   trace_send_ = engine.tracer().intern(name_ + ".send");
   trace_recv_ = engine.tracer().intern(name_ + ".recv");
 }
-
-Personality::~Personality() { detach(); }
 
 core::SimTime Personality::charge(core::Duration cost, const char* trace_name,
                                   std::uint64_t bytes) {
@@ -39,80 +33,6 @@ core::SimTime Personality::charge_send(std::size_t bytes) {
 
 core::SimTime Personality::charge_recv(std::size_t bytes) {
   return charge(costs_.recv_cost(bytes), trace_recv_, bytes);
-}
-
-void Personality::publish(grid::Node&) {}
-void Personality::unpublish(grid::Node&) noexcept {}
-
-void Personality::attach(grid::Grid& grid, core::NodeId node) {
-  if (node_ != nullptr) {
-    throw std::logic_error("Personality '" + name_ +
-                           "': attach() while already attached to node " +
-                           std::to_string(node_->id()));
-  }
-  if (!grid.built()) {
-    throw std::logic_error("Personality '" + name_ +
-                           "': attach() before Grid::build()");
-  }
-  grid::Node& n = grid.node(node);  // throws std::out_of_range
-  n.add_personality(*this);         // throws on a name collision
-  node_ = &n;
-  try {
-    publish(n);
-  } catch (...) {
-    // A publish failure (e.g. a tag collision in Comm's claim) must
-    // leave no trace: unwind the registration so attach() can be
-    // retried elsewhere.
-    n.remove_personality(*this);
-    node_ = nullptr;
-    throw;
-  }
-}
-
-void Personality::detach() noexcept {
-  if (node_ == nullptr) return;
-  for (net::Tag tag : tags_) {
-    if (net::MadIO* io = node_->madio()) io->release_tag(tag);
-  }
-  tags_.clear();
-  unpublish(*node_);
-  node_->remove_personality(*this);
-  node_ = nullptr;
-}
-
-net::MadIO& Personality::acquire_tag(net::Tag tag) {
-  if (node_ == nullptr) {
-    throw std::logic_error("Personality '" + name_ +
-                           "': acquire_tag() before attach()");
-  }
-  net::MadIO* io = node_->madio();
-  if (io == nullptr) {
-    throw std::logic_error("Personality '" + name_ + "': node " +
-                           std::to_string(node_->id()) +
-                           " has no SAN attachment to acquire a tag on");
-  }
-  io->claim_tag(tag, name_);  // throws on a collision, nothing mutated
-  tags_.push_back(tag);
-  return *io;
-}
-
-void Personality::release_tag(net::Tag tag) noexcept {
-  auto it = std::find(tags_.begin(), tags_.end(), tag);
-  if (it == tags_.end() || node_ == nullptr) return;
-  tags_.erase(it);
-  if (net::MadIO* io = node_->madio()) io->release_tag(tag);
-}
-
-void Personality::set_tag_handler(
-    net::Tag tag,
-    std::function<void(core::NodeId, mad::UnpackHandle&)> handler) {
-  if (node_ == nullptr || node_->madio() == nullptr ||
-      std::find(tags_.begin(), tags_.end(), tag) == tags_.end()) {
-    throw std::logic_error("Personality '" + name_ + "': set_tag_handler(" +
-                           std::to_string(tag) + ") on a tag it never "
-                           "acquired");
-  }
-  node_->madio()->set_handler(tag, name_, std::move(handler));
 }
 
 }  // namespace padico::middleware

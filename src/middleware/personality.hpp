@@ -2,23 +2,11 @@
 // "middleware systems run unmodified over PadicoTM").
 //
 // Every personality of the stack (MPI, CORBA ORBs, Java sockets, the
-// JVM runtime) needs the same three pieces of plumbing that MadIO, the
-// circuit layer and the pstream driver each grew privately one layer
-// down: a node to live on, a way to acquire a tagged channel of the
-// node's multiplexed SAN access, and a place to charge the CPU the
-// personality itself burns per message (marshalling, copies, JNI
-// crossings).  This class owns all three:
+// JVM runtime) is a thin API adapter over a transport it borrows (a
+// circuit endpoint or a VIO socket); what they all share is a place to
+// charge the CPU the personality itself burns per message
+// (marshalling, copies, JNI crossings):
 //
-//   * grid-node attach — `attach(grid, node)` registers the
-//     personality in the node's registry (`node.personality(name)`,
-//     plus the typed `node.mpi()`-style slots the concrete classes
-//     publish), with the obvious error paths: attach before
-//     Grid::build(), double-attach, two personalities under one name.
-//   * tagged channel acquisition — `acquire_tag(tag)` claims a MadIO
-//     tag on the node's first SAN attachment (through the NetAccess
-//     arbitration stack), exclusively: a tag collision between two
-//     personalities throws instead of silently cross-delivering.
-//     Claims release on detach/destruction.
 //   * CostModel charging — `charge_send/charge_recv(bytes)` run the
 //     per-message CPU/copy cost through a serializing CostClock and
 //     return the virtual instant the work completes; transports
@@ -26,37 +14,23 @@
 //     knob the paper's Table 1 spread (Circuit 8.4 us … Java 40 us)
 //     and Figure 3's marshaler-capped ORB curves come from.
 //
+// The stack below never learns that a personality exists: middleware
+// sits on top of the layers it uses.
+//
 // Units / ownership / determinism: costs are virtual nanoseconds.  A
-// Personality borrows its Engine (and, once attached, its grid Node);
-// the concrete personality owns it and must outlive any transport
-// activity it scheduled (closures guard with liveness tokens).  The
-// CostClock is plain arithmetic, so charges are bit-identical across
-// runs.
+// Personality borrows its Engine; the concrete personality owns it and
+// must outlive any transport activity it scheduled (closures guard
+// with liveness tokens).  The CostClock is plain arithmetic, so
+// charges are bit-identical across runs.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "core/engine.hpp"
 #include "core/time.hpp"
-#include "net/tag.hpp"
-
-namespace padico::grid {
-class Grid;
-class Node;
-}  // namespace padico::grid
-
-namespace padico::mad {
-class UnpackHandle;
-}  // namespace padico::mad
-
-namespace padico::net {
-class MadIO;
-}  // namespace padico::net
 
 namespace padico::middleware {
 
@@ -112,45 +86,10 @@ class Personality {
  public:
   Personality(const Personality&) = delete;
   Personality& operator=(const Personality&) = delete;
-  virtual ~Personality();
 
   const std::string& name() const noexcept { return name_; }
   const CostModel& costs() const noexcept { return costs_; }
   core::Engine& engine() const noexcept { return *engine_; }
-
-  /// The grid node this personality is attached to; nullptr before
-  /// attach() (personalities also work free-standing, the way the
-  /// bench drivers build them).
-  grid::Node* node() const noexcept { return node_; }
-
-  /// Register on `grid`'s node `node`.  Throws std::logic_error when
-  /// the grid is not built yet, when this personality is already
-  /// attached, or when the node already carries a personality under
-  /// this name; std::out_of_range for an unknown node.  On success
-  /// `node.personality(name())` resolves to this object.
-  void attach(grid::Grid& grid, core::NodeId node);
-
-  /// Undo attach(): releases every claimed tag and unregisters from
-  /// the node (including the typed slot, via unpublish()).  A no-op
-  /// when not attached.
-  void detach() noexcept;
-
-  /// Claim exclusive use of MadIO `tag` on the attached node's first
-  /// SAN attachment and return that MadIO.  Throws std::logic_error
-  /// when not attached, when the node has no SAN attachment, or when
-  /// the tag is already claimed/handled (MadIO::claim_tag).  Claims
-  /// release on detach()/destruction.
-  net::MadIO& acquire_tag(net::Tag tag);
-
-  /// Release one claim made through acquire_tag(); no-op otherwise.
-  void release_tag(net::Tag tag) noexcept;
-
-  /// Install a handler on a tag this personality has acquired (the
-  /// owner-checked MadIO::set_handler under this personality's name;
-  /// throws std::logic_error for tags it does not own).
-  void set_tag_handler(net::Tag tag,
-                       std::function<void(core::NodeId, mad::UnpackHandle&)>
-                           handler);
 
   /// Charge the per-message send/receive cost for `bytes` of payload
   /// to this personality's serialized CPU; returns the completion
@@ -162,15 +101,7 @@ class Personality {
 
  protected:
   Personality(std::string name, CostModel costs, core::Engine& engine);
-
-  /// Typed-slot hooks: concrete personalities publish themselves into
-  /// the node's `node.mpi()`-style accessor on attach and clear it on
-  /// detach.  Defaults do nothing (codec-only personalities).  A
-  /// personality that overrides unpublish() must call detach() in its
-  /// own destructor — the base destructor also detaches, but by then
-  /// the override is no longer reachable (C++ destructor dispatch).
-  virtual void publish(grid::Node& node);
-  virtual void unpublish(grid::Node& node) noexcept;
+  ~Personality() = default;
 
  private:
   core::SimTime charge(core::Duration cost, const char* trace_name,
@@ -180,8 +111,6 @@ class Personality {
   CostModel costs_;
   core::Engine* engine_;
   CostClock clock_;
-  grid::Node* node_ = nullptr;
-  std::vector<net::Tag> tags_;
   // obs instrumentation: total virtual CPU charged, and the interned
   // "<name>.send"/"<name>.recv" span names.
   obs::Counter* obs_cpu_ns_;

@@ -1,8 +1,7 @@
 #include "net/madio.hpp"
 
-#include <cassert>
 #include <memory>
-#include <stdexcept>
+#include <string>
 
 namespace padico::net {
 
@@ -41,49 +40,8 @@ obs::Gauge& MadIO::tag_pending(Tag tag) {
   return *it->second;
 }
 
-void MadIO::open_logical(Tag tag) { handlers_.try_emplace(tag); }
-
 void MadIO::set_handler(Tag tag, Handler handler) {
-  auto oit = owners_.find(tag);
-  if (oit != owners_.end()) {
-    throw std::logic_error("MadIO::set_handler(): tag " +
-                           std::to_string(tag) + " is claimed by '" +
-                           oit->second + "'");
-  }
   handlers_[tag] = std::move(handler);
-}
-
-void MadIO::set_handler(Tag tag, const std::string& owner, Handler handler) {
-  auto oit = owners_.find(tag);
-  if (oit == owners_.end() || oit->second != owner) {
-    throw std::logic_error("MadIO::set_handler(): tag " +
-                           std::to_string(tag) + " is not claimed by '" +
-                           owner + "'");
-  }
-  handlers_[tag] = std::move(handler);
-}
-
-void MadIO::claim_tag(Tag tag, const std::string& owner) {
-  auto oit = owners_.find(tag);
-  if (oit != owners_.end()) {
-    throw std::logic_error("MadIO::claim_tag(): tag " + std::to_string(tag) +
-                           " already claimed by '" + oit->second + "'");
-  }
-  auto hit = handlers_.find(tag);
-  if (hit != handlers_.end() && hit->second) {
-    throw std::logic_error("MadIO::claim_tag(): tag " + std::to_string(tag) +
-                           " already carries a handler");
-  }
-  owners_.emplace(tag, owner);
-}
-
-void MadIO::release_tag(Tag tag) noexcept {
-  if (owners_.erase(tag) != 0) handlers_.erase(tag);
-}
-
-const std::string* MadIO::tag_owner(Tag tag) const noexcept {
-  auto it = owners_.find(tag);
-  return it == owners_.end() ? nullptr : &it->second;
 }
 
 bool MadIO::reaches(core::NodeId node) const {
@@ -100,7 +58,6 @@ core::Bytes MadIO::make_header(Tag tag, core::NodeId dst,
 }
 
 mad::PackHandle MadIO::begin(Tag tag, core::NodeId dst) {
-  open_logical(tag);
   mad::PackHandle handle = mad_->begin_packing(*channel_, dst);
   handle.set_context(tag);  // end() routes by what begin() declared
   if (combining_) {
@@ -111,14 +68,7 @@ mad::PackHandle MadIO::begin(Tag tag, core::NodeId dst) {
   return handle;
 }
 
-void MadIO::end(mad::PackHandle handle, Tag tag, core::NodeId dst) {
-  // Routing is fixed at begin(); the repeated (tag, dst) exists for
-  // call-site symmetry and must match, or the two combining modes
-  // would deliver to different handlers.
-  assert(handle.dst() == dst && "MadIO::end(): dst differs from begin()");
-  assert(handle.context() == tag && "MadIO::end(): tag differs from begin()");
-  (void)tag;
-  (void)dst;
+void MadIO::end(mad::PackHandle handle) {
   obs_sends_->add();
   if (combining_) {
     obs_combined_->add();

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -58,51 +57,25 @@ class MadIO {
   mad::Madeleine& madeleine() const noexcept { return *mad_; }
   bool header_combining() const noexcept { return combining_; }
 
-  /// Declare a logical stream.  Sending on an undeclared tag opens it
-  /// implicitly; receiving on a tag with no handler counts as dropped.
-  void open_logical(Tag tag);
-
-  /// Install (or clear) the handler of an unclaimed tag.  Throws
-  /// std::logic_error for a claimed tag — the exclusivity claim_tag
-  /// promises cuts both ways; the owner installs through the
-  /// owner-checked overload below.
+  /// Install (or clear, with an empty handler) the handler of `tag`.
+  /// Receiving on a tag with no handler counts as dropped.
   void set_handler(Tag tag, Handler handler);
-
-  /// Handler installation on a claimed tag: `owner` must match the
-  /// claim (throws std::logic_error otherwise, including when the tag
-  /// is not claimed at all).
-  void set_handler(Tag tag, const std::string& owner, Handler handler);
-
-  /// Claim exclusive use of `tag` for `owner` (a middleware
-  /// personality name).  Throws std::logic_error if the tag is already
-  /// claimed, or already carries a handler someone else installed (the
-  /// vlink adapter's kVLinkTag, a raw set_handler user) — the caller
-  /// must pick another tag, nothing is mutated.  A successful claim
-  /// does not install a handler; the owner follows up with the
-  /// owner-checked set_handler.
-  void claim_tag(Tag tag, const std::string& owner);
-
-  /// Drop the claim and any handler on `tag`; the tag becomes
-  /// claimable again.  A no-op for unclaimed tags.
-  void release_tag(Tag tag) noexcept;
-
-  /// Name the claim on `tag` was registered under, or nullptr.
-  const std::string* tag_owner(Tag tag) const noexcept;
 
   /// Open a message on `tag` towards `dst`.  With combining on, the
   /// control header is already packed as the first segment.
   mad::PackHandle begin(Tag tag, core::NodeId dst);
 
-  /// Flush.  With combining off this sends the detached header message
-  /// first, then the payload message.
-  void end(mad::PackHandle handle, Tag tag, core::NodeId dst);
+  /// Flush a message opened by begin(), which fixed its tag and
+  /// destination.  With combining off this sends the detached header
+  /// message first, then the payload message.
+  void end(mad::PackHandle handle);
 
   /// Convenience for the common single-segment case:
   /// begin + pack(data, safer) + end.
   void send(Tag tag, core::NodeId dst, core::ByteView data) {
     mad::PackHandle handle = begin(tag, dst);
     handle.pack(data, mad::SendMode::safer);
-    end(std::move(handle), tag, dst);
+    end(std::move(handle));
   }
 
   bool reaches(core::NodeId node) const;
@@ -139,10 +112,9 @@ class MadIO {
   obs::Histogram* obs_depth_;
   obs::Histogram* obs_bytes_;
   std::map<Tag, obs::Gauge*> tag_gauges_;
-  // Per-message lookups — hash maps; owners_/tag_gauges_ stay ordered
-  // (cold, touched at claim/registration time only).
+  // Per-message lookups — hash maps; tag_gauges_ stays ordered (cold,
+  // touched once per tag).
   std::unordered_map<Tag, Handler> handlers_;
-  std::map<Tag, std::string> owners_;  // claimed tags (claim_tag)
   // Send keyed (tag, destination), receive keyed (tag, source).
   SeqBook<std::pair<Tag, core::NodeId>> seq_;
   // Combining off: control header seen, payload message still due.

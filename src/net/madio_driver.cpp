@@ -27,7 +27,7 @@ void MadIODriver::emit(core::NodeId dst, const wire::Header& h,
     // returns — the single payload copy is the one onto the wire.
     handle.pack(payload, mad::SendMode::later);
   }
-  io_->end(std::move(handle), MadIO::kVLinkTag, dst);
+  io_->end(std::move(handle));
 }
 
 }  // namespace padico::net

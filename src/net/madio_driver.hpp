@@ -14,9 +14,10 @@
 //
 // Units / ownership / determinism: adds no virtual time beyond the
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN
-// stack) and claims the reserved kVLinkTag on it; the VLink owns the
-// driver itself.  Inherits FrameDriver's listener table and connection
-// slab; it paces nothing, so emit() ignores the slot's horizon.
+// stack) and installs its handler on the reserved kVLinkTag; the VLink
+// owns the driver itself.  Inherits FrameDriver's listener table and
+// connection slab; it paces nothing, so emit() ignores the slot's
+// horizon.
 #pragma once
 
 #include "net/madio.hpp"

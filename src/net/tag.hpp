@@ -4,8 +4,9 @@
 //
 // Ownership / determinism: everything here is a value type; no clocks,
 // no allocation beyond the returned Header.  Sequence numbers are
-// supplied by the caller (per-(tag, destination) counters kept in
-// ordered maps), so traces stay bit-identical across runs.
+// supplied by the caller (per-(tag, destination) counters in a
+// net::SeqBook).  Its hash maps are only ever point-looked-up, never
+// iterated, so traces stay bit-identical across runs.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,7 @@
 namespace padico::net {
 
 /// Identifies one logical stream multiplexed over a node pair's SAN
-/// access.  Middleware personalities each claim their own tag.
+/// access.
 using Tag = std::uint16_t;
 
 /// The shared control-header shape of the tag-multiplexed layers: tag

@@ -1,7 +1,6 @@
-// The middleware personalities layer: the Personality base (attach /
-// tagged-channel acquisition / CostModel charging, with every error
-// path), the VIO socket shim, and the MPI / CORBA / Java-socket / SOAP
-// personalities end to end on the paper testbed.
+// The middleware personalities layer: the Personality base (CostModel
+// charging), the VIO socket shim, and the MPI / CORBA / Java-socket /
+// SOAP personalities end to end on the paper testbed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +14,6 @@
 #include "middleware/mpi/mpi.hpp"
 #include "middleware/personality.hpp"
 #include "middleware/soap/xml.hpp"
-#include "net/madio.hpp"
 #include "personalities/vio.hpp"
 #include "simnet/simnet.hpp"
 
@@ -32,9 +30,6 @@ class TestPersonality : public mw::Personality {
   TestPersonality(std::string name, pc::Engine& engine,
                   mw::CostModel costs = {})
       : Personality(std::move(name), std::move(costs), engine) {}
-
-  using Personality::charge_recv;
-  using Personality::charge_send;
 };
 
 void build_testbed(gr::Grid& grid, int nodes = 2) {
@@ -48,160 +43,7 @@ void build_testbed(gr::Grid& grid, int nodes = 2) {
   grid.build();
 }
 
-// --- Personality base: attach / acquisition error paths --------------------
-
-TEST(Personality, AttachBeforeBuildThrows) {
-  gr::Grid grid;
-  grid.add_nodes(2);
-  TestPersonality p("p", grid.engine());
-  EXPECT_THROW(p.attach(grid, 0), std::logic_error);
-  EXPECT_EQ(p.node(), nullptr);
-}
-
-TEST(Personality, AttachUnknownNodeThrows) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality p("p", grid.engine());
-  EXPECT_THROW(p.attach(grid, 7), std::out_of_range);
-}
-
-TEST(Personality, DoubleAttachThrows) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality p("p", grid.engine());
-  p.attach(grid, 0);
-  EXPECT_THROW(p.attach(grid, 1), std::logic_error);
-  EXPECT_EQ(p.node()->id(), 0u);  // still on the first node
-}
-
-TEST(Personality, NameCollisionOnOneNodeThrows) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality a("shared-name", grid.engine());
-  TestPersonality b("shared-name", grid.engine());
-  a.attach(grid, 0);
-  EXPECT_THROW(b.attach(grid, 0), std::logic_error);
-  b.attach(grid, 1);  // other nodes are fine
-  EXPECT_EQ(grid.node(0).personality("shared-name"), &a);
-  EXPECT_EQ(grid.node(1).personality("shared-name"), &b);
-}
-
-TEST(Personality, RegistryClearsOnDetachAndDestruction) {
-  gr::Grid grid;
-  build_testbed(grid);
-  {
-    TestPersonality a("a", grid.engine());
-    a.attach(grid, 0);
-    EXPECT_EQ(grid.node(0).personality("a"), &a);
-    a.detach();
-    EXPECT_EQ(grid.node(0).personality("a"), nullptr);
-    a.attach(grid, 0);  // re-attach after detach is fine
-  }
-  EXPECT_EQ(grid.node(0).personality("a"), nullptr);  // ~Personality detached
-}
-
-TEST(Personality, AcquireTagBeforeAttachThrows) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality p("p", grid.engine());
-  EXPECT_THROW(p.acquire_tag(0x40), std::logic_error);
-}
-
-TEST(Personality, AcquireTagWithoutSanThrows) {
-  gr::Grid grid;
-  grid.add_nodes(1);
-  sn::NetId lan = grid.add_network(sn::profiles::ethernet100());
-  grid.attach(lan, 0);
-  grid.build();
-  TestPersonality p("p", grid.engine());
-  p.attach(grid, 0);
-  EXPECT_THROW(p.acquire_tag(0x40), std::logic_error);
-}
-
-TEST(Personality, TagCollisionBetweenPersonalitiesThrows) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality a("a", grid.engine());
-  TestPersonality b("b", grid.engine());
-  a.attach(grid, 0);
-  b.attach(grid, 0);
-  a.acquire_tag(0x40);
-  EXPECT_THROW(b.acquire_tag(0x40), std::logic_error);
-  b.acquire_tag(0x41);  // a different tag is fine
-  ASSERT_NE(grid.node(0).madio()->tag_owner(0x40), nullptr);
-  EXPECT_EQ(*grid.node(0).madio()->tag_owner(0x40), "a");
-}
-
-TEST(Personality, ClaimingTheVLinkAdapterTagThrows) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality p("p", grid.engine());
-  p.attach(grid, 0);
-  // The MadIODriver installed a handler on kVLinkTag at build time.
-  EXPECT_THROW(p.acquire_tag(padico::net::MadIO::kVLinkTag),
-               std::logic_error);
-}
-
-TEST(Personality, ClaimedTagsRejectForeignHandlers) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality a("a", grid.engine());
-  a.attach(grid, 0);
-  padico::net::MadIO& io = a.acquire_tag(0x40);
-  // The exclusivity cuts both ways: no raw handler on a claimed tag...
-  EXPECT_THROW(io.set_handler(0x40, [](pc::NodeId, padico::mad::UnpackHandle&) {}),
-               std::logic_error);
-  // ...no owner-checked install under the wrong name...
-  EXPECT_THROW(
-      io.set_handler(0x40, "b", [](pc::NodeId, padico::mad::UnpackHandle&) {}),
-      std::logic_error);
-  // ...and no owner-checked install on an unclaimed tag.
-  EXPECT_THROW(
-      io.set_handler(0x41, "a", [](pc::NodeId, padico::mad::UnpackHandle&) {}),
-      std::logic_error);
-  // The owner installs through its personality.
-  a.set_tag_handler(0x40, [](pc::NodeId, padico::mad::UnpackHandle&) {});
-  EXPECT_THROW(a.set_tag_handler(0x41, {}), std::logic_error);  // not acquired
-  a.release_tag(0x40);
-  io.set_handler(0x40, {});  // released tags are raw again
-}
-
-TEST(Personality, FailedPublishUnwindsAttachCompletely) {
-  gr::Grid grid;
-  build_testbed(grid);
-  auto set = grid.make_circuit("mpi", padico::circuit::Group({0, 1}), 0x52,
-                               5140);
-  // Another personality already owns the circuit's tag on node 0, so
-  // the Comm's attach must fail...
-  TestPersonality squatter("squatter", grid.engine());
-  squatter.attach(grid, 0);
-  squatter.acquire_tag(0x52);
-  padico::mpi::Comm c0(set.at(0));
-  EXPECT_THROW(c0.attach(grid, 0), std::logic_error);
-  // ...and leave no trace: no registry entry, no typed slot, and the
-  // Comm is re-attachable once the tag frees up.
-  EXPECT_EQ(grid.node(0).personality("mpi"), nullptr);
-  EXPECT_EQ(grid.node(0).mpi(), nullptr);
-  EXPECT_EQ(c0.node(), nullptr);
-  squatter.release_tag(0x52);
-  c0.attach(grid, 0);
-  EXPECT_EQ(grid.node(0).mpi(), &c0);
-}
-
-TEST(Personality, ReleaseAndDetachFreeTags) {
-  gr::Grid grid;
-  build_testbed(grid);
-  TestPersonality a("a", grid.engine());
-  TestPersonality b("b", grid.engine());
-  a.attach(grid, 0);
-  b.attach(grid, 0);
-  a.acquire_tag(0x40);
-  a.release_tag(0x40);
-  b.acquire_tag(0x40);  // explicit release frees the tag
-  b.detach();
-  a.acquire_tag(0x40);  // detach released b's claim
-  EXPECT_THROW(a.acquire_tag(0x40), std::logic_error);  // even from itself
-}
+// --- Personality base: cost charging -------------------------------------
 
 TEST(Personality, CostModelMath) {
   mw::CostModel zero_copy{"zc", pc::microseconds(2), pc::microseconds(3), 0};
@@ -223,6 +65,15 @@ TEST(Personality, CostClockSerializesCharges) {
   const pc::SimTime b = clock.reserve(pc::microseconds(5));
   EXPECT_EQ(a, pc::microseconds(5));
   EXPECT_EQ(b, pc::microseconds(10));  // queued behind the first charge
+}
+
+TEST(Personality, ChargesShareOneClockAndCountCpu) {
+  pc::Engine engine;
+  TestPersonality p("probe", engine,
+                    {"probe", pc::microseconds(2), pc::microseconds(3), 0});
+  EXPECT_EQ(p.charge_send(64), pc::microseconds(2));
+  EXPECT_EQ(p.charge_recv(64), pc::microseconds(5));  // behind the send
+  EXPECT_EQ(engine.obs().counter("cpu.probe.ns").value(), 5000u);
 }
 
 // --- VIO --------------------------------------------------------------------
@@ -387,28 +238,6 @@ TEST(Mpi, SendCompletesAndSendrecvExchanges) {
   EXPECT_TRUE(done1);
 }
 
-TEST(Mpi, AttachPublishesNodeAccessorAndClaimsTag) {
-  gr::Grid grid;
-  build_testbed(grid);
-  auto set = grid.make_circuit("mpi", padico::circuit::Group({0, 1}), 0x52,
-                               5130);
-  {
-    padico::mpi::Comm c0(set.at(0));
-    c0.attach(grid, 0);
-    EXPECT_EQ(grid.node(0).mpi(), &c0);
-    EXPECT_EQ(grid.node(0).personality("mpi"), &c0);
-    // The circuit's tag is now reserved for the MPI personality.
-    ASSERT_NE(grid.node(0).madio()->tag_owner(0x52), nullptr);
-    EXPECT_EQ(*grid.node(0).madio()->tag_owner(0x52), "mpi");
-    // A second personality wanting the same tag on that node loses.
-    TestPersonality other("other", grid.engine());
-    other.attach(grid, 0);
-    EXPECT_THROW(other.acquire_tag(0x52), std::logic_error);
-  }
-  EXPECT_EQ(grid.node(0).mpi(), nullptr);
-  EXPECT_EQ(grid.node(0).madio()->tag_owner(0x52), nullptr);
-}
-
 // --- CORBA ------------------------------------------------------------------
 
 TEST(Orb, InvokeRoundTripsArguments) {
@@ -494,18 +323,6 @@ TEST(Orb, UnknownObjectAndSilentPortFail) {
   EXPECT_TRUE(done);
 }
 
-TEST(Orb, AttachPublishesNodeAccessor) {
-  gr::Grid grid;
-  build_testbed(grid);
-  padico::orb::Orb orb(grid.node(1).host(), grid.node(1).vlink(),
-                       padico::orb::profiles::omniorb3(), 5220);
-  orb.attach(grid, 1);
-  EXPECT_EQ(grid.node(1).orb(), &orb);
-  EXPECT_EQ(grid.node(1).personality("omniORB-3"), &orb);
-  orb.detach();
-  EXPECT_EQ(grid.node(1).orb(), nullptr);
-}
-
 // --- Java sockets -----------------------------------------------------------
 
 TEST(Jsock, RoundTripWithJvmCosts) {
@@ -549,13 +366,10 @@ TEST(Jsock, RoundTripWithJvmCosts) {
   EXPECT_EQ(client->bytes_read(), 1u);
 }
 
-TEST(Jsock, SharedJvmSerializesAndPublishes) {
+TEST(Jsock, SharedJvmSerializes) {
   gr::Grid grid;
   build_testbed(grid);
   padico::jsock::Jvm jvm(grid.engine());
-  jvm.attach(grid, 0);
-  EXPECT_EQ(grid.node(0).jvm(), &jvm);
-  EXPECT_EQ(grid.node(0).personality("jvm"), &jvm);
 
   std::shared_ptr<padico::jsock::JavaSocket> server, client;
   padico::jsock::java_server_socket(

@@ -244,10 +244,30 @@ TEST(MadIO, CombiningStrictlyLowersDeliveryLatency) {
 }
 
 TEST(MadIO, UnknownTagIsDroppedCleanly) {
-  Stack s;
-  s.io0->send(42, 1, pc::view_of("nobody listens"));
-  s.engine.run_until_idle();
-  EXPECT_EQ(s.io1->dropped(), 1u);
+  // A tag that never had a handler and one whose handler was cleared
+  // drop alike, in both combining modes: one drop per send, and no
+  // handler runs — not even the one installed on a neighbouring tag.
+  for (const bool combining : {true, false}) {
+    for (const bool cleared : {false, true}) {
+      SCOPED_TRACE(std::string(combining ? "combining" : "naive") +
+                   (cleared ? ", cleared handler" : ", never handled"));
+      Stack s(combining);
+      int ran = 0;
+      s.io1->set_handler(41, [&](pc::NodeId, md::UnpackHandle&) { ++ran; });
+      if (cleared) {
+        s.io1->set_handler(42, [&](pc::NodeId, md::UnpackHandle&) { ++ran; });
+        s.io1->set_handler(42, {});
+      }
+      for (int i = 0; i < 3; ++i) {
+        s.io0->send(42, 1, pc::view_of("nobody listens"));
+      }
+      s.engine.run_until_idle();
+      EXPECT_EQ(s.io1->dropped(), 3u);
+      EXPECT_EQ(ran, 0);
+      EXPECT_EQ(s.io1->seq_gaps(), 0u);
+      EXPECT_EQ(s.io0->dropped(), 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
