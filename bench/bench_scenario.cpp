@@ -9,7 +9,10 @@
 // replay gate.  Only virtual-time rates (events/s, bytes/s,
 // sessions/s of SIMULATED time) land in BENCH_scenario.json — they are
 // deterministic, so the baseline check can be tight.  Wall-clock cost
-// goes to stdout for humans.
+// and the process's peak RSS after the large leg go to stdout for
+// humans.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 
@@ -81,6 +84,12 @@ int main(int argc, char** argv) {
   session.metric("large.bytes_per_vsec", "B/s", large.report.bytes_per_vsec);
   session.metric("large.sessions_per_vsec", "1/s",
                  large.report.sessions_per_vsec);
+  // High-water mark of the whole process so far: the large leg's peak
+  // (ru_maxrss is in KiB on Linux; MB here means MiB, as in perfbench).
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  std::printf("# peak RSS: %.1f MB\n",
+              static_cast<double>(usage.ru_maxrss) / 1024.0);
 
   const TimedReport replay = timed_run("replay", large_scale());
   if (replay.report.digest != large.report.digest) {

@@ -23,7 +23,6 @@
 #include "middleware/javasock/jsock.hpp"
 #include "middleware/mpi/mpi.hpp"
 #include "obs/obs.hpp"
-#include "personalities/vio.hpp"
 #include "selector/selector.hpp"
 
 namespace bench {
@@ -289,36 +288,6 @@ inline MpiPair make_mpi_pair(gr::Grid& grid, padico::net::Tag tag,
       grid.make_circuit("bench-mpi", padico::circuit::Group({0, 1}), tag, port));
   p.c0 = std::make_unique<padico::mpi::Comm>(p.set->at(0));
   p.c1 = std::make_unique<padico::mpi::Comm>(p.set->at(1));
-  return p;
-}
-
-/// WAN variant: no common SAN across clusters, so the communicator
-/// rides one stream picked by the chooser (plain sysio or pstream) —
-/// the §5 configuration.  The returned pair has no CircuitSet.
-inline MpiPair make_mpi_wan_pair(gr::Grid& grid, pc::Port port) {
-  MpiPair p;
-  // Heap-held accept slot: the listen callback outlives this frame
-  // (it stays registered until the unlisten below).
-  auto accepted = std::make_shared<std::shared_ptr<padico::vio::Socket>>();
-  padico::vio::listen(grid.node(1).vlink(), port,
-                      [accepted](std::shared_ptr<padico::vio::Socket> s) {
-                        *accepted = std::move(s);
-                      });
-  std::shared_ptr<padico::vio::Socket> s0;
-  bool connected = false;
-  auto prog = [&]() -> pc::Task {
-    auto r = co_await padico::vio::connect(grid.node(0).vlink(), {1, port});
-    if (r.ok()) s0 = *r;
-    connected = true;
-  };
-  auto t = prog();
-  grid.engine().run_while_pending([&] { return connected && *accepted; });
-  grid.node(1).vlink().unlisten(port);
-  if (!s0 || !*accepted) {
-    throw std::runtime_error("make_mpi_wan_pair: connect failed");
-  }
-  p.c0 = std::make_unique<padico::mpi::Comm>(s0, 0, grid.engine());
-  p.c1 = std::make_unique<padico::mpi::Comm>(*accepted, 1, grid.engine());
   return p;
 }
 
@@ -686,6 +655,22 @@ inline LinkPair make_link_pair(gr::Grid& grid, const std::string& method,
   if (!error.empty()) {
     throw std::runtime_error("make_link_pair(" + method + "): " + error);
   }
+  return p;
+}
+
+/// WAN variant of make_mpi_pair: no common SAN across clusters, so the
+/// communicator rides one link picked by the chooser (plain sysio or
+/// pstream) — the §5 configuration.  The returned pair has no
+/// CircuitSet.
+inline MpiPair make_mpi_wan_pair(gr::Grid& grid, pc::Port port) {
+  LinkPair l = make_link_pair(grid, "auto", port);
+  // The accept callback borrowed make_link_pair's frame; drop it.
+  grid.node(1).vlink().unlisten(port);
+  MpiPair p;
+  p.c0 =
+      std::make_unique<padico::mpi::Comm>(std::move(l.a), 0, grid.engine());
+  p.c1 =
+      std::make_unique<padico::mpi::Comm>(std::move(l.b), 1, grid.engine());
   return p;
 }
 

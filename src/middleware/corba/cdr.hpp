@@ -41,7 +41,10 @@ class CdrOut {
 
   bool copying() const noexcept { return copying_; }
 
-  void put_u8(std::uint8_t v) { pending_.push_back(v); }
+  // Through put_raw, not push_back: at -O3 GCC 12 reports a push_back
+  // followed by an insert as -Wstringop-overread, a false positive of
+  // the family above.
+  void put_u8(std::uint8_t v) { put_raw(&v, sizeof(v)); }
 
   void put_u32(std::uint32_t v) { put_raw(&v, sizeof(v)); }
 

@@ -13,9 +13,9 @@ middleware::CostModel jvm_costs() {
           500'000'000};
 }
 
-JavaSocket::JavaSocket(std::shared_ptr<vio::Socket> sock,
+JavaSocket::JavaSocket(std::shared_ptr<vlink::Link> link,
                        core::Engine& engine, Jvm* jvm)
-    : sock_(std::move(sock)), engine_(&engine), jvm_(jvm) {
+    : link_(std::move(link)), engine_(&engine), jvm_(jvm) {
   if (jvm_ == nullptr) owned_vm_ = std::make_unique<Jvm>(engine);
   pump_task_ = pump();
 }
@@ -29,8 +29,8 @@ JavaSocket::connect(vlink::VLink& vlink, vlink::RemoteAddr remote, Jvm* jvm) {
   vlink.connect(remote, [done, &engine,
                          jvm](core::Result<std::unique_ptr<vlink::Link>> r) mutable {
     if (r.ok()) {
-      done.complete(std::make_shared<JavaSocket>(
-          std::make_shared<vio::Socket>(std::move(*r)), engine, jvm));
+      done.complete(
+          std::make_shared<JavaSocket>(std::move(*r), engine, jvm));
     } else {
       done.complete(r.error());
     }
@@ -46,9 +46,9 @@ core::Completion<void> JavaSocket::write(core::ByteView data) {
   // has burned through the VM's serialized CPU.
   const core::SimTime t = vm().charge_send(copy.size());
   core::Completion<void> done;
-  engine_->schedule_at(t, [sock = sock_, copy = std::move(copy),
+  engine_->schedule_at(t, [link = link_, copy = std::move(copy),
                            done]() mutable {
-    sock->write(core::view_of(copy));
+    link->post_write(core::view_of(copy));
     done.complete();
   });
   return done;
@@ -71,7 +71,7 @@ core::Task JavaSocket::pump() {
     }
     PendingRead req = std::move(reads_.front());
     reads_.pop_front();
-    core::Bytes data = co_await sock_->read_n(req.n);
+    core::Bytes data = co_await link_->read_n(req.n);
     // JNI crossing + native->heap copy before the Java caller wakes.
     const core::SimTime t = vm().charge_recv(data.size());
     if (t > engine_->now()) {
@@ -86,12 +86,10 @@ void java_server_socket(
     vlink::VLink& vlink, core::Port port,
     std::function<void(std::shared_ptr<JavaSocket>)> on_accept, Jvm* jvm) {
   core::Engine& engine = vlink.host().engine();
-  vio::listen(vlink, port,
-              [on_accept = std::move(on_accept), &engine,
-               jvm](std::shared_ptr<vio::Socket> sock) {
-                on_accept(std::make_shared<JavaSocket>(std::move(sock),
-                                                       engine, jvm));
-              });
+  vlink.listen(port, [on_accept = std::move(on_accept), &engine,
+                      jvm](std::unique_ptr<vlink::Link> l) {
+    on_accept(std::make_shared<JavaSocket>(std::move(l), engine, jvm));
+  });
 }
 
 }  // namespace padico::jsock

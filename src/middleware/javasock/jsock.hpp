@@ -1,5 +1,6 @@
 // padico::jsock — the Java-socket personality: blocking stream
-// sockets with a JVM cost profile, over the VIO shim.
+// sockets with a JVM cost profile, over a vlink Link (the virtual
+// socket).
 //
 // The paper's Java entry (Table 1: ~40 us one-way, yet ~238 MB/s peak)
 // is a JVM whose java.net sockets were remapped onto PadicoTM's
@@ -10,13 +11,13 @@
 // node, shared by that node's sockets); `JavaSocket` is the
 // java.net.Socket shape: awaitable blocking `write` / `read_n` whose
 // JNI+copy cost is charged to the VM's serialized CPU before the
-// bytes touch the VIO socket.
+// bytes touch the link.
 //
 // Ownership / determinism: sockets are shared_ptr (the accept
-// callback hands them out); each owns its VIO socket and read-pump
-// coroutine.  A socket without an explicit Jvm owns a private one.
-// Scheduled writes capture the VIO socket by shared_ptr, so a
-// JavaSocket may die with writes in flight.
+// callback hands them out); each owns its read-pump coroutine and
+// shares its link with the write events in flight — the one place a
+// link has two owners, so a JavaSocket may die with writes pending.
+// A socket without an explicit Jvm owns a private one.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,6 @@
 #include "core/result.hpp"
 #include "core/task.hpp"
 #include "middleware/personality.hpp"
-#include "personalities/vio.hpp"
 #include "vlink/vlink.hpp"
 
 namespace padico::jsock {
@@ -47,10 +47,10 @@ class Jvm final : public middleware::Personality {
 
 class JavaSocket {
  public:
-  /// Wrap a connected VIO socket.  `jvm` is the shared VM runtime to
+  /// Wrap a connected link.  `jvm` is the shared VM runtime to
   /// charge costs to; nullptr gives the socket a private one (the
   /// bench shape, one JVM per side).
-  JavaSocket(std::shared_ptr<vio::Socket> sock, core::Engine& engine,
+  JavaSocket(std::shared_ptr<vlink::Link> link, core::Engine& engine,
              Jvm* jvm);
   JavaSocket(const JavaSocket&) = delete;
   JavaSocket& operator=(const JavaSocket&) = delete;
@@ -71,8 +71,8 @@ class JavaSocket {
   /// the JNI+copy cost is charged after the bytes arrive.
   core::Completion<core::Bytes> read_n(std::size_t n);
 
-  std::size_t available() const noexcept { return sock_->available(); }
-  core::NodeId remote_node() const noexcept { return sock_->remote_node(); }
+  std::size_t available() const noexcept { return link_->available(); }
+  core::NodeId remote_node() const noexcept { return link_->remote_node(); }
 
   std::uint64_t bytes_written() const noexcept { return bytes_written_; }
   std::uint64_t bytes_read() const noexcept { return bytes_read_; }
@@ -89,7 +89,7 @@ class JavaSocket {
   }
   core::Task pump();
 
-  std::shared_ptr<vio::Socket> sock_;
+  std::shared_ptr<vlink::Link> link_;
   core::Engine* engine_;
   Jvm* jvm_;
   std::unique_ptr<Jvm> owned_vm_;
@@ -102,7 +102,7 @@ class JavaSocket {
 };
 
 /// java.net.ServerSocket: accept on `port` (every network, like any
-/// VIO listener), wrapping each connection for `jvm` (nullptr: each
+/// VLink listener), wrapping each connection for `jvm` (nullptr: each
 /// accepted socket gets a private VM).
 void java_server_socket(vlink::VLink& vlink, core::Port port,
                         std::function<void(std::shared_ptr<JavaSocket>)> on_accept,

@@ -24,7 +24,7 @@ Comm::Comm(circuit::Circuit& endpoint, middleware::CostModel costs)
   });
 }
 
-Comm::Comm(std::shared_ptr<vio::Socket> stream, int rank,
+Comm::Comm(std::unique_ptr<vlink::Link> stream, int rank,
            core::Engine& engine, middleware::CostModel costs)
     : Personality("mpi", std::move(costs), engine),
       stream_(std::move(stream)),
@@ -71,7 +71,7 @@ core::SimTime Comm::post_send(int dst_rank, int tag, core::ByteView data) {
           core::IoVec frame;
           frame.append(std::move(envelope));
           frame.append_ref(core::view_of(payload));  // flattened in write
-          stream_->write(frame);
+          stream_->post_write(frame);
         }
         ++sent_;
       });

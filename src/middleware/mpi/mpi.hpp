@@ -8,9 +8,9 @@
 // between Circuit's 8.4 us and MPICH's 12.06 us in Table 1).  Across
 // a WAN there is no common SAN, so the device falls back to whatever
 // stream the chooser picked (plain sysio or parallel streams): the
-// second constructor runs the same communicator over a connected VIO
-// socket — the §5 configuration, where MPI gets the same ~9 MB/s as
-// every other middleware on one TCP stream.
+// second constructor runs the same communicator over a connected
+// vlink Link (the virtual socket) — the §5 configuration, where MPI
+// gets the same ~9 MB/s as every other middleware on one TCP stream.
 //
 // Message wire shape: a 16-byte envelope [u32 tag][u32 payload len]
 // [u64 seq] then the payload.  The length frames the message on the
@@ -21,7 +21,8 @@
 // unexpected messages queue, like a real MPI unexpected-message queue.
 //
 // Ownership / determinism: a Comm borrows its circuit endpoint (the
-// caller owns the CircuitSet; destroy the Comm first).  isend copies
+// caller owns the CircuitSet; destroy the Comm first), or owns its
+// stream link outright.  isend copies
 // the payload at call time (MPI buffer-reuse semantics) and the send
 // is scheduled at the cost clock's completion instant, so traces stay
 // bit-identical across runs.
@@ -38,7 +39,7 @@
 #include "madeleine/circuit.hpp"
 #include "middleware/personality.hpp"
 #include "net/seqbook.hpp"
-#include "personalities/vio.hpp"
+#include "vlink/link.hpp"
 
 namespace padico::mpi {
 
@@ -56,7 +57,7 @@ class Comm final : public middleware::Personality {
 
   /// A two-rank communicator over a connected stream (the WAN
   /// fallback): this end is `rank` (0 or 1), the peer is the other.
-  Comm(std::shared_ptr<vio::Socket> stream, int rank, core::Engine& engine,
+  Comm(std::unique_ptr<vlink::Link> stream, int rank, core::Engine& engine,
        middleware::CostModel costs = mpich_costs());
 
   ~Comm();
@@ -107,7 +108,7 @@ class Comm final : public middleware::Personality {
   core::Task stream_reader();
 
   circuit::Circuit* ep_ = nullptr;
-  std::shared_ptr<vio::Socket> stream_;
+  std::unique_ptr<vlink::Link> stream_;
   int rank_;
   int size_;
   core::Task reader_;

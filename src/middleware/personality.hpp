@@ -2,8 +2,8 @@
 // "middleware systems run unmodified over PadicoTM").
 //
 // Every personality of the stack (MPI, CORBA ORBs, Java sockets, the
-// JVM runtime) is a thin API adapter over a transport it borrows (a
-// circuit endpoint or a VIO socket); what they all share is a place to
+// JVM runtime) is a thin API adapter over a transport it runs on (a
+// circuit endpoint or a vlink Link); what they all share is a place to
 // charge the CPU the personality itself burns per message
 // (marshalling, copies, JNI crossings):
 //

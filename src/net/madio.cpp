@@ -133,7 +133,6 @@ void MadIO::dispatch(Tag tag, core::NodeId src, mad::UnpackHandle handle) {
   access_->post_mad([this, tag, src, owned = std::move(owned), t_post,
                      &pending] {
     pending.add(-1);
-    obs_dispatches_->add();
     // The queued span covers hand-off to the arbitration up to the
     // moment the tag handler starts running.
     engine_->tracer().complete(obs::Cat::madio, "madio.queued", t_post,
@@ -144,6 +143,7 @@ void MadIO::dispatch(Tag tag, core::NodeId src, mad::UnpackHandle handle) {
       obs_dropped_->add();
       return;
     }
+    obs_dispatches_->add();  // only messages that reach a handler
     obs::Scope scope(engine_->tracer(), obs::Cat::madio, "madio.dispatch");
     it->second(src, *owned);
   });

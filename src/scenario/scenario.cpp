@@ -52,7 +52,7 @@ struct Scenario::Session {
   std::uint32_t rx_need = 0;  // reply bytes still missing
   bool counted = false;       // already tallied closed/failed
   bool live = false;          // IdTable occupancy
-  std::shared_ptr<vio::Socket> sock;
+  std::unique_ptr<vlink::Link> link;
 };
 
 struct Scenario::ServerConn {
@@ -61,7 +61,7 @@ struct Scenario::ServerConn {
   std::uint8_t flag = 0;   // final-request marker of the request in flight
   bool retiring = false;
   bool live = false;  // IdTable occupancy
-  std::shared_ptr<vio::Socket> sock;
+  std::unique_ptr<vlink::Link> link;
 };
 
 // ---------------------------------------------------------------------------
@@ -118,10 +118,10 @@ Scenario::Scenario(ScenarioSpec spec) : spec_(std::move(spec)) {
   obs_churn_ = &reg.counter("scenario.churn");
 
   for (const core::NodeId s : servers_) {
-    vio::listen(grid_.node(s).vlink(), kServerPort,
-                [this, s](std::shared_ptr<vio::Socket> sock) {
-                  on_accept(s, std::move(sock));
-                });
+    grid_.node(s).vlink().listen(kServerPort,
+                                 [this, s](std::unique_ptr<vlink::Link> l) {
+                                   on_accept(s, std::move(l));
+                                 });
   }
 }
 
@@ -183,8 +183,7 @@ void Scenario::open_session(std::uint64_t id) {
           if (r.ok()) {
             // Session already settled; tear the stray link down from
             // outside the delivery chain.
-            auto orphan = std::make_shared<vio::Socket>(std::move(*r));
-            grid_.engine().post([orphan] {});
+            grid_.engine().post([l = std::move(*r)] {});
           }
           return;
         }
@@ -192,9 +191,8 @@ void Scenario::open_session(std::uint64_t id) {
           fail_session(id, "session.fail.connect");
           return;
         }
-        s->sock = std::make_shared<vio::Socket>(std::move(*r));
-        s->sock->link().set_ready_handler(
-            [this, id] { on_client_ready(id); });
+        s->link = std::move(*r);
+        s->link->set_ready_handler([this, id] { on_client_ready(id); });
         send_request(id);
       });
 }
@@ -206,7 +204,7 @@ void Scenario::send_request(std::uint64_t id) {
     Session* s2 = sessions_.find(id);
     if (s2 == nullptr || s2->counted) return;
     request_scratch_[0] = fin ? 1 : 0;
-    s2->sock->write(core::view_of(request_scratch_));
+    s2->link->post_write(core::view_of(request_scratch_));
     payload_tx_ += request_wire_;
     bytes_rate_->add(request_wire_);
   });
@@ -215,7 +213,7 @@ void Scenario::send_request(std::uint64_t id) {
 void Scenario::on_client_ready(std::uint64_t id) {
   Session* s = sessions_.find(id);
   if (s == nullptr || s->counted) return;
-  const core::Bytes got = s->sock->link().read_available();
+  const core::Bytes got = s->link->read_available();
   if (got.empty()) return;
   payload_rx_ += got.size();
   bytes_rate_->add(got.size());
@@ -283,20 +281,20 @@ void Scenario::retire_session(std::uint64_t id) {
 // ---------------------------------------------------------------------------
 
 void Scenario::on_accept(core::NodeId server,
-                         std::shared_ptr<vio::Socket> sock) {
+                         std::unique_ptr<vlink::Link> link) {
   const std::uint64_t cid = conn_seq_++;
   ServerConn& c = conns_.add(cid);
   c.server = server;
   c.need = request_wire_;
-  c.sock = std::move(sock);
-  c.sock->link().set_ready_handler([this, cid] { on_server_ready(cid); });
-  if (c.sock->available() > 0) on_server_ready(cid);
+  c.link = std::move(link);
+  c.link->set_ready_handler([this, cid] { on_server_ready(cid); });
+  if (c.link->available() > 0) on_server_ready(cid);
 }
 
 void Scenario::on_server_ready(std::uint64_t conn_id) {
   ServerConn* c = conns_.find(conn_id);
   if (c == nullptr || c->retiring) return;
-  const core::Bytes got = c->sock->link().read_available();
+  const core::Bytes got = c->link->read_available();
   std::size_t off = 0;
   while (off < got.size()) {
     if (c->need == request_wire_) c->flag = got[off];
@@ -322,7 +320,7 @@ void Scenario::send_reply(std::uint64_t conn_id, bool final_request) {
   after_cpu(c.server, cost, [this, conn_id, final_request] {
     ServerConn* c2 = conns_.find(conn_id);
     if (c2 == nullptr) return;
-    c2->sock->write(core::view_of(reply_scratch_));
+    c2->link->post_write(core::view_of(reply_scratch_));
     if (final_request) {
       // Same deferred-destruction rule as the client side.
       grid_.engine().post([this, conn_id] { conns_.erase(conn_id); });

@@ -125,8 +125,8 @@ class FrameDriver : public Driver {
   std::size_t free_count_ = 0;
   std::uint64_t malformed_ = 0;
   core::Port next_ephemeral_ = 49152;
-  // obs instrumentation: node-wide vlink traffic totals (per-link
-  // totals live on the Link itself).
+  // obs instrumentation: node-wide vlink traffic totals (a Link keeps
+  // no counters of its own).
   obs::Counter* obs_tx_frames_;
   obs::Counter* obs_tx_bytes_;
   obs::Counter* obs_rx_frames_;

@@ -8,8 +8,6 @@ void Link::post_write(const core::IoVec& iov) {
   // One wire message preserves the gather boundary end-to-end; the
   // flatten is the single copy onto the simulated wire.
   core::Bytes flat = iov.flatten();
-  ++tx_frames_;
-  tx_bytes_ += flat.size();
   send_bytes(core::view_of(flat));
 }
 
@@ -24,8 +22,6 @@ core::Completion<core::Bytes> Link::read_n(std::size_t n) {
 }
 
 void Link::deliver(core::ByteView data) {
-  ++rx_frames_;
-  rx_bytes_ += data.size();
   if (datagram_handler_) {
     // Framed mode: the adapter stacked on this link consumes whole
     // transport messages; nothing enters the stream buffer.  Invoke a
@@ -75,9 +71,10 @@ void Link::drain() {
     const std::size_t want = pending_.front().n;
     if (available() < want) break;
     PendingRead req = std::move(pending_.front());
-    pending_.pop_front();
+    pending_.erase(pending_.begin());
     // complete() may resume a coroutine that immediately calls read_n
-    // or post_write again; the deque is in a consistent state here.
+    // or post_write again: pop first, so the FIFO is consistent and a
+    // re-entrant read queues behind the requests still waiting.
     req.completion.complete(take(want));
   }
 }

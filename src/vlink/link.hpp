@@ -2,18 +2,19 @@
 // nodes, the abstraction every middleware in the stack talks to.
 //
 // `Link` is the polymorphic base: it owns receive-side reassembly (a
-// byte buffer plus a FIFO of pending `read_n` requests) and delegates
-// the send side to the concrete transport via `send_bytes`.  The
-// transports (FrameDriver's links) and the adapter links stacked on
-// them (pstream, VRP, AdOC) subclass it and keep the same user-facing
-// surface.
+// byte buffer plus a FIFO of pending `read_n` requests, kept in a
+// vector that allocates nothing until a read actually has to wait)
+// and delegates the send side to the concrete transport via
+// `send_bytes`.  The transports (FrameDriver's links) and the adapter
+// links stacked on them (pstream, VRP, AdOC) subclass it and keep the
+// same user-facing surface.  A Link is also the stack's virtual
+// socket: middleware and the scenario engine hold it directly.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "core/bytes.hpp"
 #include "core/task.hpp"
@@ -37,11 +38,7 @@ class Link {
 
   /// Queue `data` for transmission and return immediately; the wire
   /// paces delivery in virtual time.  Bytes arrive in post order.
-  void post_write(core::ByteView data) {
-    ++tx_frames_;
-    tx_bytes_ += data.size();
-    send_bytes(data);
-  }
+  void post_write(core::ByteView data) { send_bytes(data); }
 
   /// Gather variant: the segments travel as one wire message.
   void post_write(const core::IoVec& iov);
@@ -92,12 +89,6 @@ class Link {
   /// baseline transports have no teardown protocol).
   virtual void post_close() {}
 
-  /// Per-link traffic totals (writes posted / deliveries received).
-  std::uint64_t tx_frames() const noexcept { return tx_frames_; }
-  std::uint64_t tx_bytes() const noexcept { return tx_bytes_; }
-  std::uint64_t rx_frames() const noexcept { return rx_frames_; }
-  std::uint64_t rx_bytes() const noexcept { return rx_bytes_; }
-
  protected:
   /// Transport hook: actually emit `data` towards the peer.
   virtual void send_bytes(core::ByteView data) = 0;
@@ -124,13 +115,9 @@ class Link {
   core::Bytes rx_buf_;
   std::size_t rx_head_ = 0;
   bool eof_ = false;
-  std::deque<PendingRead> pending_;
+  std::vector<PendingRead> pending_;  // FIFO: served from the front
   std::function<void()> ready_handler_;
   std::function<void(core::ByteView)> datagram_handler_;
-  std::uint64_t tx_frames_ = 0;
-  std::uint64_t tx_bytes_ = 0;
-  std::uint64_t rx_frames_ = 0;
-  std::uint64_t rx_bytes_ = 0;
 };
 
 }  // namespace padico::vlink

@@ -550,11 +550,16 @@ TEST_P(AdapterRendezvous, UnlistenBeforeTheHelloDropsTheHalfOpenLink) {
   EXPECT_FALSE(rig.server_base().listening(adapter().rendezvous_port(port)));
 
   // The hello now lands on a closed connection: nothing answers it.
+  // The ready handler fires on every delivery and on end-of-stream, so
+  // silence proves that no byte and no close came back.
+  int ready = 0;
+  raw->set_ready_handler([&ready] { ++ready; });
   raw->post_write(pc::view_of(hello_for(GetParam(), port)));
   rig.grid.engine().run_until_idle();
   EXPECT_EQ(adapter().pending_accepts(), 0u);
   EXPECT_EQ(adapter().malformed_hellos(), 0u);
-  EXPECT_EQ(raw->rx_frames(), 0u);
+  EXPECT_EQ(ready, 0);
+  EXPECT_EQ(raw->available(), 0u);
 }
 
 TEST_P(AdapterRendezvous, ListenerMayUnlistenFromInsideItsAccept) {

@@ -1,9 +1,12 @@
 // The middleware personalities layer: the Personality base (CostModel
-// charging), the VIO socket shim, and the MPI / CORBA / Java-socket /
-// SOAP personalities end to end on the paper testbed.
+// charging), the vlink Link as the virtual socket (VIO) they share, and
+// the MPI / CORBA / Java-socket / SOAP personalities end to end on the
+// paper testbed.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,13 +17,14 @@
 #include "middleware/mpi/mpi.hpp"
 #include "middleware/personality.hpp"
 #include "middleware/soap/xml.hpp"
-#include "personalities/vio.hpp"
 #include "simnet/simnet.hpp"
+#include "vlink/frame_driver.hpp"
 
 namespace pc = padico::core;
 namespace sn = padico::simnet;
 namespace gr = padico::grid;
 namespace mw = padico::middleware;
+namespace vl = padico::vlink;
 
 namespace {
 
@@ -76,36 +80,40 @@ TEST(Personality, ChargesShareOneClockAndCountCpu) {
   EXPECT_EQ(engine.obs().counter("cpu.probe.ns").value(), 5000u);
 }
 
-// --- VIO --------------------------------------------------------------------
+// --- VIO: the virtual socket is a vlink Link ------------------------------
 
 TEST(Vio, ConnectThroughChooserAndEcho) {
   gr::Grid grid;
   build_testbed(grid);
-  std::shared_ptr<padico::vio::Socket> server;
-  padico::vio::listen(grid.node(1).vlink(), 5000,
-                      [&](std::shared_ptr<padico::vio::Socket> s) {
-                        server = std::move(s);
-                      });
-  std::shared_ptr<padico::vio::Socket> client;
+  std::unique_ptr<vl::Link> server, client;
+  grid.node(1).vlink().listen(
+      5000, [&](std::unique_ptr<vl::Link> l) { server = std::move(l); });
+  // No method named: the node's chooser picks the SAN.
+  grid.node(0).vlink().connect(
+      {1, 5000}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+        ASSERT_TRUE(r.ok()) << r.error().message;
+        client = std::move(*r);
+      });
+  grid.engine().run_while_pending([&] { return client && server; });
+  ASSERT_TRUE(client && server);
+  auto& madio = dynamic_cast<vl::FrameDriver&>(
+      *grid.node(0).vlink().driver("madio"));
+  EXPECT_EQ(madio.open_connections(), 1u);
+
   bool echoed = false;
-  auto prog = [&]() -> pc::Task {
-    auto r = co_await padico::vio::connect(grid.node(0).vlink(), {1, 5000});
-    EXPECT_TRUE(r.ok());
-    if (!r.ok()) co_return;
-    client = *r;
-    client->write(pc::view_of("ping!"));
+  auto srv = [&]() -> pc::Task {
+    pc::Bytes req = co_await server->read_n(5);
+    for (auto& b : req) b = static_cast<std::uint8_t>(std::toupper(b));
+    server->post_write(pc::view_of(req));
+  };
+  auto cli = [&]() -> pc::Task {
+    client->post_write(pc::view_of("ping!"));
     pc::Bytes back = co_await client->read_n(5);
     EXPECT_EQ(std::string(back.begin(), back.end()), "PING!");
     echoed = true;
   };
-  auto srv = [&]() -> pc::Task {
-    while (!server) co_await pc::sleep_for(grid.engine(), 100);
-    pc::Bytes req = co_await server->read_n(5);
-    for (auto& b : req) b = static_cast<std::uint8_t>(std::toupper(b));
-    server->write(pc::view_of(req));
-  };
   auto t1 = srv();
-  auto t2 = prog();
+  auto t2 = cli();
   grid.engine().run_while_pending([&] { return echoed; });
   EXPECT_TRUE(echoed);
 }
@@ -113,16 +121,12 @@ TEST(Vio, ConnectThroughChooserAndEcho) {
 TEST(Vio, ConnectToSilentPortIsRefused) {
   gr::Grid grid;
   build_testbed(grid);
-  bool failed = false;
-  auto prog = [&]() -> pc::Task {
-    auto r = co_await padico::vio::connect(grid.node(0).vlink(), {1, 5999});
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.status(), pc::Status::refused);
-    failed = true;
-  };
-  auto t = prog();
-  grid.engine().run_while_pending([&] { return failed; });
-  EXPECT_TRUE(failed);
+  std::optional<pc::Status> status;
+  grid.node(0).vlink().connect(
+      {1, 5999},
+      [&](pc::Result<std::unique_ptr<vl::Link>> r) { status = r.status(); });
+  grid.engine().run_while_pending([&] { return status.has_value(); });
+  EXPECT_EQ(status, pc::Status::refused);
 }
 
 // --- MPI --------------------------------------------------------------------
@@ -367,29 +371,64 @@ TEST(Jsock, RoundTripWithJvmCosts) {
 }
 
 TEST(Jsock, SharedJvmSerializes) {
-  gr::Grid grid;
-  build_testbed(grid);
-  padico::jsock::Jvm jvm(grid.engine());
+  // Two sockets post one write each at the same instant.  On one shared
+  // JVM the writes queue on its one CPU, so the second leaves exactly
+  // one send cost after the first; with a JVM each they leave together.
+  // The clients are dropped with their writes in flight: each write
+  // event co-owns its link, so the bytes still reach the server.
+  const pc::Bytes payload(2, 0x4a);
+  const pc::Duration cost = padico::jsock::jvm_costs().send_cost(2);
+  auto write_instants = [&](bool shared) {
+    gr::Grid grid;
+    build_testbed(grid);
+    padico::jsock::Jvm jvm(grid.engine());
+    padico::jsock::Jvm* vm = shared ? &jvm : nullptr;
+    std::vector<std::shared_ptr<padico::jsock::JavaSocket>> servers, clients;
+    padico::jsock::java_server_socket(
+        grid.node(1).vlink(), 5310,
+        [&](std::shared_ptr<padico::jsock::JavaSocket> s) {
+          servers.push_back(std::move(s));
+        });
+    auto open = [&]() -> pc::Task {
+      for (int i = 0; i < 2; ++i) {
+        auto call = padico::jsock::JavaSocket::connect(grid.node(0).vlink(),
+                                                       {1, 5310}, vm);
+        auto r = co_await call;
+        EXPECT_TRUE(r.ok());
+        if (r.ok()) clients.push_back(*r);
+      }
+    };
+    auto t = open();
+    grid.engine().run_while_pending(
+        [&] { return clients.size() == 2 && servers.size() == 2; });
+    std::vector<pc::Duration> left;
+    if (clients.size() != 2 || servers.size() != 2) {
+      ADD_FAILURE() << "connects did not complete";
+      return left;
+    }
 
-  std::shared_ptr<padico::jsock::JavaSocket> server, client;
-  padico::jsock::java_server_socket(
-      grid.node(1).vlink(), 5310,
-      [&](std::shared_ptr<padico::jsock::JavaSocket> s) {
-        server = std::move(s);
-      });
-  bool done = false;
-  auto cli = [&]() -> pc::Task {
-    auto r = co_await padico::jsock::JavaSocket::connect(
-        grid.node(0).vlink(), {1, 5310}, &jvm);
-    EXPECT_TRUE(r.ok());
-    if (!r.ok()) co_return;
-    client = *r;
-    co_await client->write(pc::view_of("hi"));
-    done = true;
+    const pc::SimTime t0 = grid.engine().now();
+    int received = 0;
+    auto writer = [&](padico::jsock::JavaSocket& s) -> pc::Task {
+      co_await s.write(pc::view_of(payload));
+      left.push_back(grid.engine().now() - t0);
+    };
+    auto reader = [&](padico::jsock::JavaSocket& s) -> pc::Task {
+      pc::Bytes got = co_await s.read_n(payload.size());
+      EXPECT_EQ(got, payload);
+      ++received;
+    };
+    auto r0 = reader(*servers[0]);
+    auto r1 = reader(*servers[1]);
+    auto w0 = writer(*clients[0]);
+    auto w1 = writer(*clients[1]);
+    clients.clear();
+    grid.engine().run_while_pending([&] { return received == 2; });
+    EXPECT_EQ(received, 2);
+    return left;
   };
-  auto t = cli();
-  grid.engine().run_while_pending([&] { return done && server; });
-  EXPECT_TRUE(done);
+  EXPECT_EQ(write_instants(true), (std::vector<pc::Duration>{cost, 2 * cost}));
+  EXPECT_EQ(write_instants(false), (std::vector<pc::Duration>{cost, cost}));
 }
 
 // --- SOAP -------------------------------------------------------------------

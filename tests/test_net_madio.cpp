@@ -245,8 +245,9 @@ TEST(MadIO, CombiningStrictlyLowersDeliveryLatency) {
 
 TEST(MadIO, UnknownTagIsDroppedCleanly) {
   // A tag that never had a handler and one whose handler was cleared
-  // drop alike, in both combining modes: one drop per send, and no
-  // handler runs — not even the one installed on a neighbouring tag.
+  // drop alike, in both combining modes: one drop per send, no handler
+  // runs — not even the one installed on a neighbouring tag — and a
+  // drop never counts as a dispatch.
   for (const bool combining : {true, false}) {
     for (const bool cleared : {false, true}) {
       SCOPED_TRACE(std::string(combining ? "combining" : "naive") +
@@ -266,6 +267,15 @@ TEST(MadIO, UnknownTagIsDroppedCleanly) {
       EXPECT_EQ(ran, 0);
       EXPECT_EQ(s.io1->seq_gaps(), 0u);
       EXPECT_EQ(s.io0->dropped(), 0u);
+      const auto& dispatches = s.engine.obs().counter("madio.dispatches");
+      EXPECT_EQ(dispatches.value(), 0u);
+
+      // The neighbouring handled tag still counts its one dispatch.
+      s.io0->send(41, 1, pc::view_of("handled"));
+      s.engine.run_until_idle();
+      EXPECT_EQ(ran, 1);
+      EXPECT_EQ(dispatches.value(), 1u);
+      EXPECT_EQ(s.io1->dropped(), 3u);
     }
   }
 }

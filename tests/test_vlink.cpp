@@ -171,6 +171,43 @@ TEST(VLink, ReadCompletesImmediatelyWhenBuffered) {
   EXPECT_TRUE(done);  // completed synchronously
 }
 
+TEST(VLink, QueuedReadsDrainInFifoOrderFromOneDelivery) {
+  // Two readers queue on one link before any byte arrives, and the
+  // first one's continuation re-enters read_n.  One delivery of 3+4+2
+  // bytes must serve them in FIFO order with exact sizes; the
+  // re-entrant read must queue behind the second reader, not take the
+  // bytes that are already buffered ahead of it.
+  Rig rig;
+  auto [a, b] = rig.link_pair("madio", 4350);
+  int deliveries = 0;
+  b->set_ready_handler([&deliveries] { ++deliveries; });
+
+  std::vector<std::string> got;
+  auto as_string = [](const pc::Bytes& x) {
+    return std::string(x.begin(), x.end());
+  };
+  auto first = [&]() -> pc::Task {
+    pc::Bytes x = co_await b->read_n(3);
+    got.push_back("first:" + as_string(x));
+    pc::Bytes y = co_await b->read_n(2);  // re-entered from the drain
+    got.push_back("again:" + as_string(y));
+  };
+  auto second = [&]() -> pc::Task {
+    pc::Bytes x = co_await b->read_n(4);
+    got.push_back("second:" + as_string(x));
+  };
+  auto t1 = first();
+  auto t2 = second();
+  EXPECT_TRUE(got.empty());
+
+  a->post_write(pc::view_of("abcdefghi"));
+  rig.engine.run_until_idle();
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(got, (std::vector<std::string>{"first:abc", "second:defg",
+                                           "again:hi"}));
+  EXPECT_EQ(b->available(), 0u);
+}
+
 TEST(VLink, GatherWriteTravelsAsOneMessage) {
   Rig rig;
   auto [a, b] = rig.link_pair("madio", 4400);
