@@ -9,8 +9,9 @@
 // bulk stream and an MPI ping-pong share the SAN (parallel paradigm,
 // mad substrate), while a CORBA request/response stream runs over
 // Ethernet (distributed paradigm, sys substrate).  All three funnel
-// through each node's NetAccess arbitration — MPI deliveries and ORB
-// socket events genuinely contend for the same I/O manager.
+// through each node's Arbitration (PadicoTM's NetAccess) — MPI
+// deliveries and ORB socket events genuinely contend for the same I/O
+// manager.
 #include "common.hpp"
 #include "net/arbitration.hpp"
 

@@ -14,7 +14,7 @@
 #include "drivers/san_driver.hpp"
 #include "madeleine/madeleine.hpp"
 #include "net/madio.hpp"
-#include "net/netaccess.hpp"
+#include "net/arbitration.hpp"
 
 namespace {
 
@@ -29,7 +29,7 @@ struct Stack {
   std::unique_ptr<pc::Host> h0, h1;
   std::unique_ptr<dr::SanDriver> d0, d1;
   std::unique_ptr<md::Madeleine> m0, m1;
-  std::unique_ptr<net::NetAccess> a0, a1;
+  net::Arbitration a0{engine}, a1{engine};
 
   Stack() {
     sn::NetId san = fabric.add_network(sn::profiles::myrinet2000());
@@ -41,8 +41,6 @@ struct Stack {
     d1 = std::make_unique<dr::SanDriver>(*h1, fabric, san, dr::gm_costs(), "gm");
     m0 = std::make_unique<md::Madeleine>(*h0, *d0);
     m1 = std::make_unique<md::Madeleine>(*h1, *d1);
-    a0 = std::make_unique<net::NetAccess>(*h0);
-    a1 = std::make_unique<net::NetAccess>(*h1);
   }
 };
 
@@ -77,8 +75,8 @@ double plain_madeleine_us(int rounds = 64) {
 /// One-way latency through MadIO (combining on/off).
 double madio_us(bool combining, int rounds = 64) {
   Stack s;
-  net::MadIO io0(*s.a0, *s.m0, combining);
-  net::MadIO io1(*s.a1, *s.m1, combining);
+  net::MadIO io0(s.a0, *s.m0, combining);
+  net::MadIO io1(s.a1, *s.m1, combining);
   int pongs = 0;
   pc::SimTime t0 = s.engine.now(), t1 = 0;
   auto send = [](net::MadIO& io, pc::NodeId dst) {

@@ -9,7 +9,6 @@
 #include "core/engine.hpp"
 #include "core/rng.hpp"
 #include "middleware/corba/cdr.hpp"
-#include "middleware/soap/xml.hpp"
 
 namespace pc = padico::core;
 namespace cz = padico::compress;
@@ -109,20 +108,6 @@ void BM_RleRoundTrip(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_RleRoundTrip)->Arg(65536);
-
-void BM_SoapEnvelope(benchmark::State& state) {
-  for (auto _ : state) {
-    padico::soap::XmlNode env{
-        "SOAP-ENV:Envelope",
-        "",
-        {{"SOAP-ENV:Body",
-          "",
-          {{"monitor", "", {{"job", "17", {}}, {"what", "progress", {}}}}}}}};
-    std::string xml = padico::soap::to_xml(env);
-    benchmark::DoNotOptimize(padico::soap::parse_xml(xml));
-  }
-}
-BENCHMARK(BM_SoapEnvelope);
 
 void BM_Xoshiro(benchmark::State& state) {
   pc::Rng rng(1);

@@ -384,7 +384,6 @@ void VrpLink::maybe_nack(std::uint64_t offset, std::uint64_t len) {
   }
   last_nack_off_ = offset;
   last_nack_time_ = now;
-  ++nacks_sent_;
   obs_nacks_->add();
   vrp::Header n;
   n.kind = vrp::Kind::nack;

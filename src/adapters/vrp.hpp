@@ -127,8 +127,6 @@ class VrpLink final : public Link {
   std::uint64_t give_ups() const noexcept { return give_ups_; }
   /// Bytes this end's receiver skipped.
   std::uint64_t skipped_bytes() const noexcept { return skipped_; }
-  /// Nacks this end's receiver sent (budget exhausted -> repair).
-  std::uint64_t nacks_sent() const noexcept { return nacks_sent_; }
   /// Base-link datagrams that failed to parse (dropped, counted).
   std::uint64_t malformed_frames() const noexcept { return malformed_; }
   /// Congestion window, in frames (tests pin the AIMD shape).
@@ -196,7 +194,6 @@ class VrpLink final : public Link {
   std::map<std::uint64_t, core::Bytes> ooo_;
   std::optional<std::uint64_t> rfin_;
   std::uint64_t give_ups_ = 0;
-  std::uint64_t nacks_sent_ = 0;
   std::uint64_t malformed_ = 0;
   std::uint64_t last_nack_off_ = ~0ull;
   core::SimTime last_nack_time_ = 0;

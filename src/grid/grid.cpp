@@ -13,8 +13,6 @@
 #include "madeleine/madeleine.hpp"
 #include "net/madio.hpp"
 #include "net/madio_driver.hpp"
-#include "net/netaccess.hpp"
-#include "selector/selector.hpp"
 #include "vlink/net_driver.hpp"
 #include "vlink/pstream_driver.hpp"
 
@@ -27,24 +25,18 @@ struct Grid::SanStack {
   net::MadIO io;
 
   SanStack(core::Host& host, simnet::Fabric& fabric, simnet::NetId net,
-           net::NetAccess& access, bool header_combining)
+           net::Arbitration& arbitration, bool header_combining)
       : san(host, fabric, net, drv::gm_costs(), "gm"),
         madeleine(host, san),
-        io(access, madeleine, header_combining) {}
+        io(arbitration, madeleine, header_combining) {}
 };
 
 Node::Node(core::Engine& engine, core::NodeId id)
     : host_(engine, id),
       vlink_(host_),
-      access_(std::make_unique<net::NetAccess>(host_)),
-      chooser_(std::make_unique<selector::Chooser>(vlink_)) {
-  vlink_.set_policy(chooser_.get());
-}
-
-Node::~Node() = default;
-
-net::Arbitration& Node::arbitration() noexcept {
-  return access_->arbitration();
+      arbitration_(engine),
+      chooser_(vlink_) {
+  vlink_.set_policy(&chooser_);
 }
 
 net::MadIO* Node::madio(std::size_t i) const noexcept {
@@ -183,7 +175,7 @@ void Grid::wire_attachment(simnet::NetId net_id, core::NodeId node_id,
   if (model.driver == "madio") {
     // SAN: the full arbitration stack under the vlink method.
     auto stack = std::make_unique<SanStack>(node.host(), fabric_, net_id,
-                                            node.access(),
+                                            node.arbitration(),
                                             options_.header_combining);
     node.madios_.push_back(&stack->io);
     add(std::make_unique<net::MadIODriver>(stack->io, method), 0);
@@ -191,8 +183,8 @@ void Grid::wire_attachment(simnet::NetId net_id, core::NodeId node_id,
   } else {
     // IP network: baseline NetDriver, arbitrated on the SysIO side.
     auto driver = std::make_unique<vlink::NetDriver>(node.host(), net, method);
-    driver->set_dispatch([access = &node.access()](core::EventFn fn) {
-      access->post_sys(std::move(fn));
+    driver->set_dispatch([arb = &node.arbitration()](core::EventFn fn) {
+      arb->enqueue(net::Substrate::sys, std::move(fn));
     });
     vlink::NetDriver* base = driver.get();
     add(std::move(driver), 0);
@@ -324,7 +316,7 @@ CircuitSet Grid::make_circuit(const std::string& name,
   for (std::size_t r = 0; r < group.size(); ++r) {
     Node& member = *nodes_[group.node(static_cast<int>(r))];
     set.add(std::make_unique<circuit::Circuit>(
-        name, group, static_cast<int>(r), tag, port, member.access(),
+        name, group, static_cast<int>(r), tag, port, member.arbitration(),
         member.madio()->madeleine(), channel_id));
   }
 

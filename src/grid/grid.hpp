@@ -8,16 +8,19 @@
 //   grid.build();
 //   grid.node(0).vlink().connect("madio", {1, port}, cb);
 //
-// `build()` freezes the topology: it creates one Host + VLink +
-// NetAccess + selector::Chooser per node and, for every (network,
-// node) attachment, registers a driver named after the network
-// profile's driver method, stamped with the profile's NetClass
-// affinity and capability bits.  SAN attachments ("madio") get the
+// `build()` freezes the topology: it creates one Node per node, which
+// holds its Host, VLink, Arbitration (PadicoTM's NetAccess) and
+// selector::Chooser by value, and, for every (network, node)
+// attachment, registers a driver named after the network profile's
+// driver method, stamped with the profile's NetClass affinity and
+// capability bits.  SAN attachments ("madio") get the
 // full arbitration stack — SanDriver -> Madeleine -> MadIO ->
 // MadIODriver — honouring BuildOptions::header_combining; IP
 // attachments ("sysio") keep the baseline NetDriver, with deliveries
 // routed through the node's arbitration so SysIO and MadIO traffic
-// genuinely contend (node.arbitration() tunes the interleave).
+// genuinely contend (node.arbitration() tunes the interleave; MadIO
+// and circuits borrow the same Arbitration, so a Node must outlive
+// every SAN stack and circuit on it).
 // Wan-class attachments additionally get a "pstream" parallel-stream
 // driver (BuildOptions::pstream_width sub-links) stacked on their IP
 // driver; every IP attachment gets an "adoc" adaptive-compression
@@ -40,23 +43,19 @@
 
 #include "core/engine.hpp"
 #include "core/host.hpp"
+#include "net/arbitration.hpp"
 #include "net/tag.hpp"
+#include "selector/selector.hpp"
 #include "simnet/network.hpp"
 #include "vlink/vlink.hpp"
 
 namespace padico::net {
-class Arbitration;
 class MadIO;
-class NetAccess;
 }  // namespace padico::net
 
 namespace padico::circuit {
 class Group;
 }  // namespace padico::circuit
-
-namespace padico::selector {
-class Chooser;
-}  // namespace padico::selector
 
 namespace padico::grid {
 
@@ -95,7 +94,6 @@ class Node {
   Node(core::Engine& engine, core::NodeId id);
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
-  ~Node();
 
   core::NodeId id() const noexcept { return host_.id(); }
   core::Host& host() noexcept { return host_; }
@@ -107,15 +105,14 @@ class Node {
   /// endpoints are detached, so traffic involving it drops.
   bool alive() const noexcept { return alive_; }
 
-  /// The node's NetAccess point (all incoming traffic funnels here).
-  net::NetAccess& access() noexcept { return *access_; }
-
-  /// The node's SysIO/MadIO interleaving policy knobs.
-  net::Arbitration& arbitration() noexcept;
+  /// The node's single arbitration point (PadicoTM's NetAccess): every
+  /// incoming SAN and IP event funnels through it, and its policy
+  /// knobs set the SysIO/MadIO interleave.
+  net::Arbitration& arbitration() noexcept { return arbitration_; }
 
   /// The node's topology-aware method selector; installed as the
   /// VLink's SelectionPolicy, so method-less connects go through it.
-  selector::Chooser& chooser() noexcept { return *chooser_; }
+  selector::Chooser& chooser() noexcept { return chooser_; }
 
   /// The MadIO instance of the i-th SAN attachment; nullptr if the
   /// node has no such attachment.
@@ -127,8 +124,8 @@ class Node {
   core::Host host_;
   vlink::VLink vlink_;
   bool alive_ = true;
-  std::unique_ptr<net::NetAccess> access_;
-  std::unique_ptr<selector::Chooser> chooser_;
+  net::Arbitration arbitration_;
+  selector::Chooser chooser_;
   std::vector<net::MadIO*> madios_;  // borrowed from Grid's SAN stacks
 };
 

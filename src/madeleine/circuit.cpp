@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/netaccess.hpp"
+#include "net/arbitration.hpp"
 #include "vlink/wire.hpp"
 
 namespace padico::circuit {
@@ -56,7 +56,7 @@ int Group::rank_of(core::NodeId node) const noexcept {
 // --- Circuit ---------------------------------------------------------------
 
 Circuit::Circuit(std::string name, Group group, int rank, net::Tag tag,
-                 core::Port port, net::NetAccess& access,
+                 core::Port port, net::Arbitration& arbitration,
                  mad::Madeleine& madeleine, std::uint8_t channel_id)
     : name_(std::move(name)),
       group_(std::move(group)),
@@ -64,7 +64,7 @@ Circuit::Circuit(std::string name, Group group, int rank, net::Tag tag,
       tag_(tag),
       port_(port),
       node_(group_.node(rank)),  // validates the rank too
-      access_(&access),
+      arbitration_(&arbitration),
       mad_(&madeleine) {
   if (node_ != mad_->host().id()) {
     throw std::invalid_argument(
@@ -222,7 +222,8 @@ void Circuit::on_channel_message(core::NodeId src, mad::UnpackHandle& handle) {
       // dispatch outliving its Circuit a no-op instead of a
       // use-after-free.)
       auto owned = std::make_shared<mad::UnpackHandle>(std::move(handle));
-      access_->post_mad(
+      arbitration_->enqueue(
+          net::Substrate::mad,
           [this, src_rank, owned = std::move(owned), alive = alive_] {
             if (!*alive) return;
             if (!handler_) {

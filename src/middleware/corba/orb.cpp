@@ -68,16 +68,6 @@ core::Completion<void> sleep_until(core::Engine& engine, core::SimTime t) {
 
 }  // namespace
 
-std::size_t Any::wire_size() const noexcept {
-  switch (kind()) {
-    case Kind::none: return 1;
-    case Kind::octets: return 1 + 4 + octets().size();
-    case Kind::string: return 1 + 4 + str().size();
-    case Kind::u64: return 1 + 8;
-  }
-  return 1;
-}
-
 namespace profiles {
 
 // Per-message overheads are the half-RTT budget above the raw VLink
@@ -123,8 +113,6 @@ Orb::~Orb() {
 void Orb::activate(const std::string& key, Method method) {
   objects_[key] = std::move(method);
 }
-
-void Orb::deactivate(const std::string& key) { objects_.erase(key); }
 
 void Orb::start() {
   if (started_) return;

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "net/netaccess.hpp"
-
 namespace padico::mpi {
 
 middleware::CostModel mpich_costs() {
@@ -14,8 +12,7 @@ middleware::CostModel mpich_costs() {
 }
 
 Comm::Comm(circuit::Circuit& endpoint, middleware::CostModel costs)
-    : Personality("mpi", std::move(costs),
-                  endpoint.access().host().engine()),
+    : Personality("mpi", std::move(costs), endpoint.engine()),
       ep_(&endpoint),
       rank_(endpoint.rank()),
       size_(static_cast<int>(endpoint.group().size())) {

@@ -16,8 +16,9 @@
 // overhead — the property the latency reproductions rely on.
 //
 // Units / ownership / determinism: `dispatch_cost` / `switch_cost` are
-// virtual nanoseconds.  An Arbitration borrows its Engine and is owned
-// by the node's NetAccess; queued closures are owned until dispatched.
+// virtual nanoseconds.  An Arbitration borrows its Engine and is held
+// by value in its grid::Node — it is PadicoTM's NetAccess, the node's
+// single arbitration point; queued closures are owned until dispatched.
 // Queues are plain FIFOs and the pump's state machine is driven only
 // by engine events, so dispatch order is bit-identical across runs.
 #pragma once

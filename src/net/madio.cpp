@@ -7,11 +7,11 @@ namespace padico::net {
 
 namespace wire = vlink::wire;
 
-MadIO::MadIO(NetAccess& access, mad::Madeleine& madeleine,
+MadIO::MadIO(Arbitration& arbitration, mad::Madeleine& madeleine,
              bool header_combining)
-    : access_(&access),
+    : arbitration_(&arbitration),
       mad_(&madeleine),
-      engine_(&access.host().engine()),
+      engine_(&madeleine.host().engine()),
       combining_(header_combining) {
   channel_ = mad_->open_channel();
   mad_->set_recv_handler(*channel_,
@@ -130,23 +130,24 @@ void MadIO::dispatch(Tag tag, core::NodeId src, mad::UnpackHandle handle) {
   obs_bytes_->record(handle.remaining());
   const core::SimTime t_post = engine_->now();
   auto owned = std::make_shared<mad::UnpackHandle>(std::move(handle));
-  access_->post_mad([this, tag, src, owned = std::move(owned), t_post,
-                     &pending] {
-    pending.add(-1);
-    // The queued span covers hand-off to the arbitration up to the
-    // moment the tag handler starts running.
-    engine_->tracer().complete(obs::Cat::madio, "madio.queued", t_post,
-                               engine_->now() - t_post);
-    auto it = handlers_.find(tag);
-    if (it == handlers_.end() || !it->second) {
-      ++dropped_;
-      obs_dropped_->add();
-      return;
-    }
-    obs_dispatches_->add();  // only messages that reach a handler
-    obs::Scope scope(engine_->tracer(), obs::Cat::madio, "madio.dispatch");
-    it->second(src, *owned);
-  });
+  arbitration_->enqueue(
+      Substrate::mad,
+      [this, tag, src, owned = std::move(owned), t_post, &pending] {
+        pending.add(-1);
+        // The queued span covers hand-off to the arbitration up to the
+        // moment the tag handler starts running.
+        engine_->tracer().complete(obs::Cat::madio, "madio.queued", t_post,
+                                   engine_->now() - t_post);
+        auto it = handlers_.find(tag);
+        if (it == handlers_.end() || !it->second) {
+          ++dropped_;
+          obs_dropped_->add();
+          return;
+        }
+        obs_dispatches_->add();  // only messages that reach a handler
+        obs::Scope scope(engine_->tracer(), obs::Cat::madio, "madio.dispatch");
+        it->second(src, *owned);
+      });
 }
 
 }  // namespace padico::net

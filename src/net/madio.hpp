@@ -13,18 +13,18 @@
 //     message — every send pays a full extra per-message cost, which is
 //     exactly what the section 4.1 ablation measures.
 //
-// Received messages are not dispatched inline: MadIO hands them to the
-// node's NetAccess, whose Arbitration decides when the tag handler
-// runs relative to IP-side traffic.
+// Received messages are not dispatched inline: MadIO enqueues them on
+// the mad side of the node's Arbitration (PadicoTM's NetAccess), which
+// decides when the tag handler runs relative to IP-side traffic.
 //
 // Units / ownership / determinism: this layer adds no virtual time of
 // its own — its cost is the header bytes it puts on the wire plus the
-// NetAccess dispatch below.  A MadIO borrows its NetAccess and
-// Madeleine (the Grid's SAN stack owns all three, bottom-up) and owns
-// its bootstrap channel (always Madeleine channel 0).  Handlers and
-// per-(tag, node) sequence books live in hash maps — dispatch does
-// point lookups only, never iterates them, so bucket order cannot
-// leak into dispatch traces.
+// arbitration dispatch below.  A MadIO borrows its node's Arbitration
+// (owned by the grid::Node) and its Madeleine (owned, with MadIO, by
+// the Grid's SAN stack) and owns its bootstrap channel (always
+// Madeleine channel 0).  Handlers and per-(tag, node) sequence books
+// live in hash maps — dispatch does point lookups only, never iterates
+// them, so bucket order cannot leak into dispatch traces.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,7 @@
 #include <utility>
 
 #include "madeleine/madeleine.hpp"
-#include "net/netaccess.hpp"
+#include "net/arbitration.hpp"
 #include "net/seqbook.hpp"
 #include "net/tag.hpp"
 #include "vlink/wire.hpp"
@@ -48,12 +48,11 @@ class MadIO {
   /// Tag reserved for the vlink adapter (MadIODriver).
   static constexpr Tag kVLinkTag = 0xFFFF;
 
-  MadIO(NetAccess& access, mad::Madeleine& madeleine,
+  MadIO(Arbitration& arbitration, mad::Madeleine& madeleine,
         bool header_combining = true);
   MadIO(const MadIO&) = delete;
   MadIO& operator=(const MadIO&) = delete;
 
-  NetAccess& access() const noexcept { return *access_; }
   mad::Madeleine& madeleine() const noexcept { return *mad_; }
   bool header_combining() const noexcept { return combining_; }
 
@@ -98,7 +97,7 @@ class MadIO {
   /// yet run — the per-tag queue depth upper layers tune against.
   obs::Gauge& tag_pending(Tag tag);
 
-  NetAccess* access_;
+  Arbitration* arbitration_;
   mad::Madeleine* mad_;
   mad::Channel* channel_;
   core::Engine* engine_;

@@ -1,5 +1,5 @@
 // MadIODriver: the vlink access method ("madio") carried over the
-// NetAccess/MadIO arbitration stack.
+// MadIO/arbitration stack.
 //
 // Connection management and stream framing are inherited from
 // FrameDriver; each frame travels as the payload of a MadIO message on
@@ -10,7 +10,7 @@
 //   simulated Myrinet
 //
 // and incoming frames arrive already arbitrated (MadIO dispatches tag
-// handlers through the node's NetAccess).
+// handlers through the node's Arbitration).
 //
 // Units / ownership / determinism: adds no virtual time beyond the
 // layers it stacks on.  Borrows its MadIO (owned by the Grid's SAN

@@ -1,6 +1,6 @@
-// Logical-channel tags for NetAccess/MadIO multiplexing — and the one
-// place that builds the 24-byte tagged control header both MadIO and
-// the circuit layer stamp onto their messages.
+// Logical-channel tags for MadIO multiplexing — and the one place that
+// builds the 24-byte tagged control header both MadIO and the circuit
+// layer stamp onto their messages.
 //
 // Ownership / determinism: everything here is a value type; no clocks,
 // no allocation beyond the returned Header.  Sequence numbers are

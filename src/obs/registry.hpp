@@ -168,7 +168,6 @@ class Registry {
   const Counter* find_counter(std::string_view name) const;
   const Gauge* find_gauge(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
-  const Rate* find_rate(std::string_view name) const;
 
   const Counters& counters() const noexcept { return counters_; }
   const Gauges& gauges() const noexcept { return gauges_; }

@@ -63,7 +63,6 @@ class Tracer {
   ~Tracer();
 
   void enable(std::uint32_t mask) noexcept { mask_ = mask; }
-  void disable() noexcept { mask_ = 0; }
   std::uint32_t mask() const noexcept { return mask_; }
   bool enabled(Cat c) const noexcept { return (mask_ & bit(c)) != 0; }
 

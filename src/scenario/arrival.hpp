@@ -55,10 +55,6 @@ class ArrivalProcess {
   /// Next gap to the following session open.
   core::Duration next_gap();
 
-  /// Process-local time (sum of candidate gaps so far) — the clock the
-  /// periodic intensity is evaluated against.
-  core::SimTime local_time() const noexcept { return t_; }
-
  private:
   std::uint64_t exp_gap(std::uint64_t mean_ns);
   std::uint64_t accept_q32() const;

@@ -18,7 +18,7 @@
 // slot too) and a refuse, which has no connection, goes out unpaced.
 //
 // An optional dispatch hook defers frame handling to an external
-// scheduler: the Grid installs the node's NetAccess arbitration here so
+// scheduler: the Grid installs the node's Arbitration (sys side) here so
 // that IP-side ("sysio") traffic contends with SAN-side traffic under
 // the paper's SysIO/MadIO interleaving policy.
 #pragma once

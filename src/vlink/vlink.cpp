@@ -6,12 +6,7 @@
 
 namespace padico::vlink {
 
-VLink::VLink(core::Host& host)
-    : host_(&host),
-      default_policy_(std::make_unique<FirstReachablePolicy>(*this)),
-      policy_(default_policy_.get()) {}
-
-VLink::~VLink() = default;
+VLink::VLink(core::Host& host) : host_(&host) {}
 
 void VLink::add_driver(std::unique_ptr<Driver> driver) {
   // Replay sticky listens so a late-registered driver accepts on the
@@ -22,18 +17,15 @@ void VLink::add_driver(std::unique_ptr<Driver> driver) {
   for (const auto& [port, fn] : listens_) ports.push_back(port);
   std::sort(ports.begin(), ports.end());
   for (core::Port port : ports) driver->listen(port, listens_[port]);
-  by_name_.emplace(driver->name(), driver.get());  // first name wins
   drivers_.push_back(std::move(driver));
-  policy_->on_drivers_changed();
+  if (policy_) policy_->on_drivers_changed();
 }
 
 Driver* VLink::driver(const std::string& method) const {
-  auto it = by_name_.find(method);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
-void VLink::set_policy(SelectionPolicy* policy) {
-  policy_ = policy != nullptr ? policy : default_policy_.get();
+  for (const auto& d : drivers_) {
+    if (d->name() == method) return d.get();
+  }
+  return nullptr;
 }
 
 void VLink::listen(core::Port port, Driver::AcceptFn on_accept) {
@@ -71,6 +63,11 @@ void VLink::connect(const std::string& method, const RemoteAddr& remote,
 }
 
 void VLink::connect(const RemoteAddr& remote, Driver::ConnectFn on_connect) {
+  if (!policy_) {
+    on_connect(core::Result<std::unique_ptr<Link>>::err(
+        core::Status::error, "no selection policy"));
+    return;
+  }
   core::Error error;
   Driver* d = policy_->select(remote.node, &error);
   if (!d) {
@@ -79,17 +76,6 @@ void VLink::connect(const RemoteAddr& remote, Driver::ConnectFn on_connect) {
     return;
   }
   d->connect(remote, std::move(on_connect));
-}
-
-Driver* FirstReachablePolicy::select(core::NodeId dst, core::Error* error) {
-  for (const auto& d : vlink_->drivers()) {
-    if (d->reaches(dst)) return d.get();
-  }
-  if (error) {
-    *error = {core::Status::unreachable,
-              "no driver reaches node " + std::to_string(dst)};
-  }
-  return nullptr;
 }
 
 }  // namespace padico::vlink

@@ -2,11 +2,10 @@
 //
 // It owns the node's set of drivers (access methods) keyed by name and
 // offers listen/connect either through an explicit method or through a
-// pluggable SelectionPolicy.  The built-in default policy walks the
-// registry in insertion order and picks the first driver that reaches
-// the destination; the Grid installs the topology-aware
-// selector::Chooser on every node, which replaces that default with
-// per-NetClass ranking (see src/selector/selector.hpp).
+// pluggable SelectionPolicy.  There is no built-in policy: the Grid
+// installs the topology-aware selector::Chooser on every node (see
+// src/selector/selector.hpp), and a hand-built VLink must install one
+// before it connects without a method.
 //
 // Listening is sticky: `listen(port, fn)` is recorded and replayed
 // onto drivers registered later, so a server never silently misses a
@@ -47,17 +46,16 @@ class VLink {
   explicit VLink(core::Host& host);
   VLink(const VLink&) = delete;
   VLink& operator=(const VLink&) = delete;
-  ~VLink();
 
   core::Host& host() const noexcept { return *host_; }
   core::NodeId node() const noexcept { return host_->id(); }
 
-  /// Register a driver; insertion order is the default-selection
-  /// preference order (fastest network first).  Ports already listened
-  /// on through this VLink are registered with the new driver too.
+  /// Register a driver.  Ports already listened on through this VLink
+  /// are registered with the new driver too.
   void add_driver(std::unique_ptr<Driver> driver);
 
-  /// Look up a driver by method name; nullptr if absent.
+  /// Look up a driver by method name; nullptr if absent.  The first
+  /// registration of a name wins.
   Driver* driver(const std::string& method) const;
 
   const std::vector<std::unique_ptr<Driver>>& drivers() const noexcept {
@@ -66,11 +64,8 @@ class VLink {
 
   /// Install a selection policy for method-less connects.  The policy
   /// is borrowed (the Grid's chooser outlives the VLink's use of it);
-  /// nullptr restores the built-in first-reachable default.
-  void set_policy(SelectionPolicy* policy);
-
-  /// The active selection policy (the default one if none installed).
-  SelectionPolicy& policy() const noexcept { return *policy_; }
+  /// nullptr uninstalls it.
+  void set_policy(SelectionPolicy* policy) { policy_ = policy; }
 
   /// Accept on `port` via every registered driver (a server does not
   /// care which network the peer arrives on) — including drivers that
@@ -89,34 +84,17 @@ class VLink {
                Driver::ConnectFn on_connect);
 
   /// Connect through the driver picked by the selection policy.
+  /// Without a policy installed it completes with Status::error.
   void connect(const RemoteAddr& remote, Driver::ConnectFn on_connect);
 
  private:
   core::Host* host_;
   std::vector<std::unique_ptr<Driver>> drivers_;
-  // Name -> driver index for the connect("method", ...) hot path.  The
-  // first registration of a name wins, matching what the old linear
-  // scan returned for (pathological) duplicate names.
-  std::unordered_map<std::string, Driver*> by_name_;
   // Sticky listens, replayed onto late-registered drivers.  Hash map —
   // add_driver sorts the ports before replaying so the replay order
   // stays deterministic.
   std::unordered_map<core::Port, Driver::AcceptFn> listens_;
-  std::unique_ptr<SelectionPolicy> default_policy_;
-  SelectionPolicy* policy_;  // borrowed; defaults to default_policy_
-};
-
-/// The extracted pre-selector policy: first registered driver that
-/// reaches the destination (insertion order = attachment declaration
-/// order, so the typical "SAN first" testbed auto-selects the SAN).
-class FirstReachablePolicy final : public SelectionPolicy {
- public:
-  explicit FirstReachablePolicy(const VLink& vlink) : vlink_(&vlink) {}
-
-  Driver* select(core::NodeId dst, core::Error* error) override;
-
- private:
-  const VLink* vlink_;
+  SelectionPolicy* policy_ = nullptr;  // borrowed
 };
 
 }  // namespace padico::vlink

@@ -34,7 +34,7 @@ TEST(BenchSmoke, VlinkLatencyOverMyrinetIsInRange) {
   ASSERT_TRUE(p.a && p.b);
   const double lat = bench::link_latency_us(grid, p);
   // Raw vlink over the Myrinet model: ~7 us now; the paper's 10.2 us
-  // includes the MadIO/NetAccess layers that land in later PRs.
+  // includes the MadIO and arbitration layers that land in later PRs.
   EXPECT_GT(lat, 5.0);
   EXPECT_LT(lat, 15.0);
 }

@@ -338,10 +338,12 @@ TEST(Circuit, MismatchedEstablishmentIsRefused) {
   build_san_grid(grid, 2);
   cc::Group g({0, 1});
   cc::Circuit root("mm", g, 0, /*tag=*/1, /*port=*/5000,
-                   grid.node(0).access(), grid.node(0).madio()->madeleine(),
+                   grid.node(0).arbitration(),
+                   grid.node(0).madio()->madeleine(),
                    /*channel_id=*/9);
   cc::Circuit peer("mm", g, 1, /*tag=*/2, /*port=*/5000,
-                   grid.node(1).access(), grid.node(1).madio()->madeleine(),
+                   grid.node(1).arbitration(),
+                   grid.node(1).madio()->madeleine(),
                    /*channel_id=*/9);
   grid.engine().run_until_idle();
   EXPECT_FALSE(root.established());
@@ -393,7 +395,7 @@ TEST(Circuit, DestructionWithQueuedDeliveryIsSafe) {
 }
 
 TEST(Circuit, TrafficCompetesInTheArbitrationPump) {
-  // Circuit deliveries ride the node's NetAccess mad substrate, so they
+  // Circuit deliveries ride the mad side of the node's Arbitration, so they
   // show up in the same dispatch accounting as MadIO traffic.
   gr::Grid grid;
   build_san_grid(grid, 2);

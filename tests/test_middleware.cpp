@@ -1,7 +1,7 @@
 // The middleware personalities layer: the Personality base (CostModel
 // charging), the vlink Link as the virtual socket (VIO) they share, and
-// the MPI / CORBA / Java-socket / SOAP personalities end to end on the
-// paper testbed.
+// the MPI / CORBA / Java-socket personalities end to end on the paper
+// testbed.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -16,7 +16,6 @@
 #include "middleware/javasock/jsock.hpp"
 #include "middleware/mpi/mpi.hpp"
 #include "middleware/personality.hpp"
-#include "middleware/soap/xml.hpp"
 #include "simnet/simnet.hpp"
 #include "vlink/frame_driver.hpp"
 
@@ -429,69 +428,6 @@ TEST(Jsock, SharedJvmSerializes) {
   };
   EXPECT_EQ(write_instants(true), (std::vector<pc::Duration>{cost, 2 * cost}));
   EXPECT_EQ(write_instants(false), (std::vector<pc::Duration>{cost, cost}));
-}
-
-// --- SOAP -------------------------------------------------------------------
-
-TEST(Soap, EnvelopeRoundTrips) {
-  padico::soap::XmlNode env{
-      "SOAP-ENV:Envelope",
-      "",
-      {{"SOAP-ENV:Body",
-        "",
-        {{"monitor", "", {{"job", "17", {}}, {"what", "progress", {}}}}}}}};
-  const std::string xml = padico::soap::to_xml(env);
-  auto back = padico::soap::parse_xml(xml);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, env);
-}
-
-TEST(Soap, EscapingRoundTrips) {
-  padico::soap::XmlNode node{"note", "a < b && \"c\" > 'd'", {}};
-  auto back = padico::soap::parse_xml(padico::soap::to_xml(node));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(*back, node);
-}
-
-TEST(Soap, DeclarationAndCommentAreSkipped) {
-  auto doc = padico::soap::parse_xml(
-      "<?xml version=\"1.0\"?><!-- generated --><a><b/></a>");
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->name, "a");
-  ASSERT_EQ(doc->children.size(), 1u);
-  EXPECT_EQ(doc->children[0].name, "b");
-}
-
-TEST(Soap, MalformedDocumentsAreRejected) {
-  using padico::soap::parse_xml;
-  EXPECT_FALSE(parse_xml("").has_value());
-  EXPECT_FALSE(parse_xml("plain text").has_value());
-  EXPECT_FALSE(parse_xml("<a>").has_value());            // truncated
-  EXPECT_FALSE(parse_xml("<a></b>").has_value());        // mismatched
-  EXPECT_FALSE(parse_xml("<a></a><b/>").has_value());    // two roots
-  EXPECT_FALSE(parse_xml("<a x=\"1\"/>").has_value());   // attributes
-  EXPECT_FALSE(parse_xml("<a>&unknown;</a>").has_value());
-  EXPECT_FALSE(parse_xml("<1bad/>").has_value());        // invalid name
-  EXPECT_FALSE(parse_xml("<a><![CDATA[x]]></a>").has_value());
-  EXPECT_FALSE(parse_xml("<?xml never closed").has_value());
-  EXPECT_FALSE(parse_xml("<a/><!--truncated").has_value());
-  EXPECT_FALSE(parse_xml("<a/><?truncated").has_value());
-}
-
-TEST(Soap, NestedBombIsRejectedNotCrashed) {
-  std::string open, close;
-  for (int i = 0; i < 2 * padico::soap::kMaxDepth; ++i) {
-    open += "<d>";
-    close += "</d>";
-  }
-  EXPECT_FALSE(padico::soap::parse_xml(open + close).has_value());
-  // At the limit boundary, parsing still succeeds.
-  std::string ok_open, ok_close;
-  for (int i = 0; i < padico::soap::kMaxDepth - 1; ++i) {
-    ok_open += "<d>";
-    ok_close += "</d>";
-  }
-  EXPECT_TRUE(padico::soap::parse_xml(ok_open + ok_close).has_value());
 }
 
 // --- CDR --------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// The NetAccess/MadIO arbitration layer: SAN driver cost model and
+// The MadIO/arbitration layer: SAN driver cost model and
 // rendezvous, Madeleine channels, MadIO tag multiplexing, the
 // header-combining code paths, and the SysIO/MadIO arbitration pump.
 #include "net/madio.hpp"
@@ -14,7 +14,7 @@
 #include "grid/grid.hpp"
 #include "madeleine/madeleine.hpp"
 #include "net/madio_driver.hpp"
-#include "net/netaccess.hpp"
+#include "net/arbitration.hpp"
 #include "simnet/simnet.hpp"
 
 namespace pc = padico::core;
@@ -35,7 +35,7 @@ struct Stack {
   std::unique_ptr<pc::Host> h0, h1;
   std::unique_ptr<dr::SanDriver> d0, d1;
   std::unique_ptr<md::Madeleine> m0, m1;
-  std::unique_ptr<net::NetAccess> a0, a1;
+  net::Arbitration a0{engine}, a1{engine};
   std::unique_ptr<net::MadIO> io0, io1;
 
   explicit Stack(bool combining = true)
@@ -50,10 +50,8 @@ struct Stack {
                                          "gm");
     m0 = std::make_unique<md::Madeleine>(*h0, *d0);
     m1 = std::make_unique<md::Madeleine>(*h1, *d1);
-    a0 = std::make_unique<net::NetAccess>(*h0);
-    a1 = std::make_unique<net::NetAccess>(*h1);
-    io0 = std::make_unique<net::MadIO>(*a0, *m0, combining);
-    io1 = std::make_unique<net::MadIO>(*a1, *m1, combining);
+    io0 = std::make_unique<net::MadIO>(a0, *m0, combining);
+    io1 = std::make_unique<net::MadIO>(a1, *m1, combining);
   }
 
 };
@@ -330,19 +328,6 @@ TEST(Arbitration, PolicyClampsToPositiveWeights) {
   arb.set_policy(0, -3);
   EXPECT_EQ(arb.sys_weight(), 1);
   EXPECT_EQ(arb.mad_weight(), 1);
-}
-
-TEST(NetAccess, PostsRouteThroughTheArbitration) {
-  pc::Engine engine;
-  pc::Host host(engine, 0);
-  net::NetAccess access(host);
-  int ran = 0;
-  access.post_mad([&] { ++ran; });
-  access.post_sys([&] { ++ran; });
-  engine.run_until_idle();
-  EXPECT_EQ(ran, 2);
-  EXPECT_EQ(access.arbitration().dispatched(net::Substrate::mad), 1u);
-  EXPECT_EQ(access.arbitration().dispatched(net::Substrate::sys), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -353,32 +353,108 @@ TEST(Selector, VLinkConnectDelegatesToChooser) {
   EXPECT_EQ(status, pc::Status::unreachable);
 }
 
-TEST(Selector, HandBuiltVLinkKeepsFirstReachableDefault) {
-  // Without a chooser installed, the extracted FirstReachablePolicy
-  // preserves the pre-selector behaviour: insertion order wins.
+namespace {
+
+/// Two hand-built VLinks (no Grid, so no chooser installed) over a
+/// 2-node SAN + LAN fabric, each with "sysio" (LAN) registered before
+/// "madio" (SAN).
+struct HandRig {
   pc::Engine engine;
   sn::Fabric fabric{engine};
   sn::NetId san = fabric.add_network(sn::profiles::myrinet2000());
   sn::NetId lan = fabric.add_network(sn::profiles::ethernet100());
-  for (pc::NodeId n = 0; n < 2; ++n) {
-    fabric.attach(san, n);
-    fabric.attach(lan, n);
+  pc::Host h0{engine, 0}, h1{engine, 1};
+  vl::VLink v0{h0}, v1{h1};
+  std::unique_ptr<vl::Link> accepted;
+
+  HandRig() {
+    for (pc::NodeId n = 0; n < 2; ++n) {
+      fabric.attach(san, n);
+      fabric.attach(lan, n);
+    }
+    add(v0, h0);
+    add(v1, h1);
+    v1.listen(9200, [this](std::unique_ptr<vl::Link> l) {
+      accepted = std::move(l);
+    });
   }
-  pc::Host h0(engine, 0), h1(engine, 1);
-  vl::VLink v0(h0), v1(h1);
-  v0.add_driver(std::make_unique<vl::NetDriver>(h0, fabric.network(lan), "sysio"));
-  v0.add_driver(std::make_unique<vl::NetDriver>(h0, fabric.network(san), "madio"));
-  v1.add_driver(std::make_unique<vl::NetDriver>(h1, fabric.network(lan), "sysio"));
-  v1.add_driver(std::make_unique<vl::NetDriver>(h1, fabric.network(san), "madio"));
-  std::unique_ptr<vl::Link> a, b;
-  v1.listen(9200, [&](std::unique_ptr<vl::Link> l) { b = std::move(l); });
-  v0.connect({1, 9200}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
-    ASSERT_TRUE(r.ok());
-    a = std::move(*r);
-  });
-  engine.run_while_pending([&] { return a && b; });
-  ASSERT_TRUE(a);
-  // First registered driver (sysio here) wins regardless of class.
-  EXPECT_EQ(b->remote_node(), 0u);
-  EXPECT_GT(pc::to_micros(engine.now()), 100.0);  // the 50 us LAN, not the SAN
+
+  void add(vl::VLink& v, pc::Host& h) {
+    v.add_driver(
+        std::make_unique<vl::NetDriver>(h, fabric.network(lan), "sysio"));
+    auto madio =
+        std::make_unique<vl::NetDriver>(h, fabric.network(san), "madio");
+    madio->set_net_class(sel::NetClass::san);
+    v.add_driver(std::move(madio));
+  }
+
+  std::size_t open(const char* method) {
+    return static_cast<vl::NetDriver*>(v0.driver(method))->open_connections();
+  }
+
+  /// Method-less connect from node 0 to node 1, run to completion.
+  pc::Result<std::unique_ptr<vl::Link>> connect() {
+    std::optional<pc::Result<std::unique_ptr<vl::Link>>> out;
+    v0.connect({1, 9200}, [&](pc::Result<std::unique_ptr<vl::Link>> r) {
+      out.emplace(std::move(r));
+    });
+    engine.run_while_pending([&] { return out && accepted; });
+    EXPECT_TRUE(out.has_value());
+    return std::move(*out);
+  }
+};
+
+}  // namespace
+
+TEST(Selector, HandBuiltVLinkWithoutPolicyFailsMethodlessConnect) {
+  // There is no built-in default policy: a VLink nobody installed a
+  // policy on refuses method-less connects, like an unknown method.
+  HandRig rig;
+  auto r = rig.connect();
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status(), pc::Status::error);
+  rig.engine.run_until_idle();
+  EXPECT_FALSE(rig.accepted);
+  EXPECT_EQ(rig.open("sysio"), 0u);
+  EXPECT_EQ(rig.open("madio"), 0u);
+}
+
+TEST(Selector, HandBuiltVLinkUsesTheInstalledPolicyUntilCleared) {
+  HandRig rig;
+  sel::Chooser chooser(rig.v0);
+  rig.v0.set_policy(&chooser);
+  ASSERT_EQ(chooser.choose(1), "madio");
+  auto r = rig.connect();
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  ASSERT_TRUE(rig.accepted);
+  // The chooser's pick (the SAN, registered second) carried the link.
+  EXPECT_EQ(rig.open("madio"), 1u);
+  EXPECT_EQ(rig.open("sysio"), 0u);
+  EXPECT_LT(pc::to_micros(rig.engine.now()), 50.0);  // not the 50 us LAN
+
+  rig.v0.set_policy(nullptr);
+  rig.accepted.reset();
+  auto again = rig.connect();
+  EXPECT_EQ(again.status(), pc::Status::error);
+  EXPECT_EQ(rig.open("madio"), 1u);  // only the first link
+  EXPECT_EQ(rig.open("sysio"), 0u);
+}
+
+TEST(Selector, DriverLookupReturnsTheFirstRegistrationOfAName) {
+  pc::Engine engine;
+  sn::Fabric fabric{engine};
+  sn::NetId san = fabric.add_network(sn::profiles::myrinet2000());
+  sn::NetId lan = fabric.add_network(sn::profiles::ethernet100());
+  fabric.attach(san, 0);
+  fabric.attach(lan, 0);
+  pc::Host host(engine, 0);
+  vl::VLink v(host);
+  auto first =
+      std::make_unique<vl::NetDriver>(host, fabric.network(lan), "dup");
+  vl::Driver* want = first.get();
+  v.add_driver(std::move(first));
+  v.add_driver(
+      std::make_unique<vl::NetDriver>(host, fabric.network(san), "dup"));
+  EXPECT_EQ(v.driver("dup"), want);
+  EXPECT_EQ(v.driver("absent"), nullptr);
 }
