@@ -12,7 +12,9 @@
 //              the headline: `dispatch.speedup_vs_map` must stay >= 2.
 //   burst    — same-instant batches: B events at one future tick,
 //              drained off the queue's cached-bucket fast path.
-//   far      — every offset beyond the ring window, so each event takes
+//   mid      — offsets of 50 us to 8 ms (LAN to WAN hops), past the fine
+//              ring, so each event takes the coarse wheel and a cascade.
+//   far      — every offset beyond the coarse span, so each event takes
 //              the overflow-heap path (the queue's worst case).
 //   scenario — the 10k-node generated workload end to end, wall
 //              events/sec.  Virtual-time events/vsec is deterministic
@@ -135,29 +137,34 @@ struct Actor {
   EngineT* eng;
   pc::Rng* rng;
   std::uint64_t* left;
-  std::uint32_t max_offset;
+  pc::Duration min_offset;
+  pc::Duration max_offset;
 
   void fire() {
     if (*left == 0) return;
     --*left;
-    // Offsets stay inside [1, max_offset] so the leg picks which queue
-    // level (ring vs far heap) it exercises.
+    // Offsets stay inside [min_offset, max_offset] so the leg picks
+    // which queue level (fine ring, coarse wheel, far heap) it
+    // exercises.
     eng->schedule_after(
-        1 + static_cast<pc::Duration>(rng->uniform_int(0, max_offset - 1)),
+        min_offset + rng->uniform_int(0, max_offset - min_offset),
         [this] { fire(); });
   }
 };
 
 template <typename EngineT>
-bench::Run churn_run(std::uint32_t max_offset, int rounds,
-                     std::uint64_t events_per_round, double* cycles_out) {
+bench::Run churn_run(pc::Duration min_offset, pc::Duration max_offset,
+                     int rounds, std::uint64_t events_per_round,
+                     double* cycles_out) {
   EngineT eng;
   pc::Rng rng(0xbe7c'0de5'0000'0001ull);
 
   constexpr int kActors = 512;  // constant queue depth while draining
   std::vector<Actor<EngineT>> actors(kActors);
   std::uint64_t left = 0;
-  for (auto& a : actors) a = Actor<EngineT>{&eng, &rng, &left, max_offset};
+  for (auto& a : actors) {
+    a = Actor<EngineT>{&eng, &rng, &left, min_offset, max_offset};
+  }
 
   bench::Run run;
   run.warmup = 1;
@@ -240,14 +247,14 @@ int main(int argc, char** argv) {
 
   constexpr int kRounds = 9;
   constexpr std::uint64_t kEventsPerRound = 200'000;
-  // Offsets within the default ring window exercise the O(1) buckets.
-  const std::uint32_t near = pc::QueueConfig{}.ring_ticks / 2;
+  // Offsets within the default fine ring exercise the O(1) buckets.
+  const pc::Duration near = pc::QueueConfig{}.ring_ticks / 2;
 
   double cal_cycles = 0, map_cycles = 0;
-  const bench::Run cal = churn_run<pc::Engine>(near, kRounds, kEventsPerRound,
-                                               &cal_cycles);
-  const bench::Run map = churn_run<MapEngine>(near, kRounds, kEventsPerRound,
-                                              &map_cycles);
+  const bench::Run cal = churn_run<pc::Engine>(1, near, kRounds,
+                                               kEventsPerRound, &cal_cycles);
+  const bench::Run map = churn_run<MapEngine>(1, near, kRounds,
+                                              kEventsPerRound, &map_cycles);
   const double speedup = map.value / cal.value;
   std::printf("dispatch  calendar %7.1f ns/ev (%6.0f cyc)   map %7.1f ns/ev "
               "(%6.0f cyc)   speedup %.2fx\n",
@@ -266,10 +273,20 @@ int main(int argc, char** argv) {
   session.metric("burst.calendar_ns_per_event", "ns", bcal);
   session.metric("burst.speedup_vs_map", "x", bspeed);
 
-  // Far-future offsets: 4x to 64x the ring window, all heap-path.
-  const std::uint32_t far_lo = pc::QueueConfig{}.ring_ticks * 4;
-  const bench::Run far =
-      churn_run<pc::Engine>(far_lo * 16, kRounds, kEventsPerRound, nullptr);
+  // Mid offsets: LAN to WAN hops, all coarse-wheel path at the default
+  // geometry (fine ring 8 us, coarse span ~16.8 ms).
+  const bench::Run mid =
+      churn_run<pc::Engine>(pc::microseconds(50), pc::milliseconds(8),
+                            kRounds, kEventsPerRound, nullptr);
+  std::printf("mid-wheel calendar %7.1f ns/ev (coarse path)\n", mid.value);
+  session.metric("mid.calendar_ns_per_event", "ns", mid);
+
+  // Far-future offsets: 2x to 4x the coarse span (ring_ticks^2 / 4
+  // ticks), all heap-path.
+  const pc::Duration span = pc::Duration{pc::QueueConfig{}.ring_ticks} *
+                            pc::QueueConfig{}.ring_ticks / 4;
+  const bench::Run far = churn_run<pc::Engine>(2 * span, 4 * span, kRounds,
+                                               kEventsPerRound, nullptr);
   std::printf("far-heap  calendar %7.1f ns/ev (overflow path)\n", far.value);
   session.metric("far.calendar_ns_per_event", "ns", far);
 

@@ -8,15 +8,16 @@
 // digests differ: the CI bench job doubles as the large-topology
 // replay gate.  Only virtual-time rates (events/s, bytes/s,
 // sessions/s of SIMULATED time) land in BENCH_scenario.json — they are
-// deterministic, so the baseline check can be tight.  Wall-clock cost
-// and the process's peak RSS after the large leg go to stdout for
-// humans.
+// deterministic, so the baseline check can be tight.  Wall-clock cost,
+// the process's peak RSS and the engine's pushes per queue level after
+// the large leg go to stdout for humans.
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 
 #include "common.hpp"
+#include "core/event_queue.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 
@@ -42,6 +43,8 @@ struct TimedReport {
   /// info/min-gated metric (see BENCH_scenario.json) rather than a
   /// band-gated one.
   double events_per_wall_sec = 0;
+  /// Pushes per queue level (stdout only, like the wall figures).
+  padico::core::EventQueue::LevelPushes pushes;
 };
 
 TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
@@ -61,7 +64,8 @@ TimedReport timed_run(const char* label, const sc::ScenarioSpec& spec) {
       static_cast<unsigned long long>(r.failed), r.events_per_vsec,
       r.bytes_per_vsec, r.sessions_per_vsec, r.digest.c_str(), wall);
   return TimedReport{
-      r, static_cast<double>(s.grid().engine().processed()) / wall};
+      r, static_cast<double>(s.grid().engine().processed()) / wall,
+      s.grid().engine().queue().pushes()};
 }
 
 }  // namespace
@@ -90,6 +94,10 @@ int main(int argc, char** argv) {
   getrusage(RUSAGE_SELF, &usage);
   std::printf("# peak RSS: %.1f MB\n",
               static_cast<double>(usage.ru_maxrss) / 1024.0);
+  std::printf("# queue levels: fine %llu coarse %llu heap %llu pushes\n",
+              static_cast<unsigned long long>(large.pushes.fine),
+              static_cast<unsigned long long>(large.pushes.coarse),
+              static_cast<unsigned long long>(large.pushes.heap));
 
   const TimedReport replay = timed_run("replay", large_scale());
   if (replay.report.digest != large.report.digest) {

@@ -6,11 +6,12 @@
 // produces a bit-identical event trace on every run — the property all
 // reproduction benchmarks rely on.  See DESIGN.md "Timing model".
 //
-// The queue is a two-level calendar queue (near-future ring of per-ns
-// buckets + far-future heap; see core/event_queue.hpp) with pooled,
-// allocation-free event nodes.  The seed's std::map queue lives on only
-// as the ordering oracle of tests/test_event_queue.cpp.  See DESIGN.md
-// "Engine internals".
+// The queue is a three-level calendar queue (a fine ring of per-ns
+// buckets, a coarse wheel of ~4 us slots spanning the WAN hop, and a
+// heap only beyond that; see core/event_queue.hpp) with pooled,
+// allocation-free event nodes, ~104 KiB per engine.  The seed's
+// std::map queue lives on only as the ordering oracle of
+// tests/test_event_queue.cpp.  See DESIGN.md "Engine internals".
 #pragma once
 
 #include <cstddef>
@@ -34,7 +35,7 @@ class Engine {
 
   /// Default-constructed engines take the process-wide
   /// `default_queue_config()` — how tests and benches run engines
-  /// built deep inside Grid/Scenario under another ring width.
+  /// built deep inside Grid/Scenario under another queue geometry.
   Engine() : Engine(default_queue_config()) {}
   explicit Engine(const QueueConfig& cfg) : queue_(cfg) {}
   Engine(const Engine&) = delete;
@@ -62,13 +63,15 @@ class Engine {
   /// Total events dispatched since construction.
   std::uint64_t processed() const noexcept { return processed_; }
 
-  /// The event queue itself (ring/overflow occupancy, configuration).
+  /// The event queue itself (level occupancy, per-level push counts,
+  /// configuration).
   const EventQueue& queue() const noexcept { return queue_; }
 
-  /// Refresh the queue-shape gauges (`engine.ring`, `engine.overflow`,
-  /// `engine.buckets`) from the queue's current state.  The depth
-  /// gauge `engine.pending` is maintained on every schedule; the shape
-  /// gauges are snapshot-on-demand so the hot path stays lean.
+  /// Refresh the queue-shape gauges (`engine.ring`: fine ring plus
+  /// coarse wheel entries, `engine.overflow`: heap entries,
+  /// `engine.buckets`: occupied fine buckets) from the queue's state.
+  /// The depth gauge `engine.pending` is maintained on every schedule;
+  /// the shape gauges are snapshot-on-demand so the hot path stays lean.
   void publish_queue_gauges() noexcept;
 
   /// Pool of recycled `Bytes` buffers for frame-sized payloads — the

@@ -1,22 +1,35 @@
-// EventQueue — the engine's two-level calendar queue.
+// EventQueue — the engine's three-level calendar queue.
 //
 // The old engine kept every pending event in a
 // `std::map<(SimTime, seq), std::function>`: one red-black-tree node
 // allocation plus a rebalance per event, and usually a second heap
-// allocation inside the std::function.  This queue replaces it with:
+// allocation inside the std::function.  This queue is a hierarchical
+// timing wheel (Varghese & Lauck, SOSP 1987) over pooled nodes:
 //
-//   * a NEAR RING of per-tick (1 ns) buckets covering the window
-//     [base, base + ring_ticks): each bucket is an intrusive FIFO list
-//     of pooled event nodes, with a two-level occupancy bitmap so the
-//     next non-empty tick is found with a couple of ctz scans;
-//   * a FAR HEAP (binary min-heap ordered by (time, seq)) for events
-//     beyond the window; entries migrate to the ring as the window
-//     slides forward, BEFORE any new push can target the same tick, so
-//     FIFO-within-timestamp order is exactly the map's (a heap entry
-//     for tick T was necessarily scheduled before any ring entry for
-//     T — the window boundary only grows);
+//   * a FINE RING of per-tick (1 ns) buckets.  Time is cut into coarse
+//     slots of `2^s` ticks; with the anchor slot A, the ring covers the
+//     two slots [A, A+2), an aligned window of ring_ticks = 2^(s+1)
+//     ticks, so bucket `t & mask` and the scan from `(A<<s) & mask` walk
+//     it in increasing tick order.  Each bucket is an intrusive FIFO
+//     list, with a two-level occupancy bitmap so the next non-empty tick
+//     is found with a couple of ctz scans;
+//   * a COARSE WHEEL of 2^s FIFO slot lists, slot `(t>>s) & (2^s-1)`,
+//     covering the slots [A+2, A+2+2^s) — at the default geometry 4096
+//     slots of 4096 ns, ~16.8 ms: the 8 ms WAN hop plus serialisation
+//     stays off the heap;
+//   * a FAR HEAP (binary min-heap ordered by (time, seq)) only for
+//     events beyond the coarse span;
 //   * a NODE POOL with a freelist: steady-state scheduling allocates
 //     nothing.
+//
+// When the anchor advances, before pop() returns: (1) the at most two
+// newly covered coarse slots cascade into the fine ring, THEN (2) the
+// heap entries now in range migrate to the fine ring or the coarse
+// wheel by their time.  Cascading first frees the wheel slots whose
+// residues the migrated entries reuse.  Every level's boundary only
+// grows, so for any tick the heap-fed entries were pushed before the
+// coarse-fed ones, and those before direct fine pushes: appending level
+// by level keeps FIFO-within-timestamp order exactly the map's.
 //
 // The seed's std::map queue survives only as a test oracle
 // (`MapOracle` in tests/test_event_queue.cpp) and a bench-local rival
@@ -44,13 +57,14 @@ namespace padico::core {
 using EventFn = InplaceFn<48>;
 
 struct QueueConfig {
-  /// Width of the near-future window in ticks (= nanoseconds).  Must
-  /// be a power of two; 1 is the degenerate "everything in the heap
-  /// except the current instant" configuration the determinism tests
-  /// exercise.  The default covers intra-cluster delivery (50 us LAN
-  /// latency plus serialization) so steady-state frame traffic stays
-  /// on the O(1) ring; only WAN hops (ms-scale) take the far heap.
-  std::uint32_t ring_ticks = 131072;
+  /// Width of the fine ring in ticks (= nanoseconds), rounded up to a
+  /// power of two.  It also sets the coarse wheel: ring_ticks / 2 slots
+  /// of ring_ticks / 2 ticks each.  The default (8 us fine, ~16.8 ms
+  /// coarse) keeps CPU costs on the fine ring and LAN and WAN hops on
+  /// the wheel, at 96 KiB of buckets.  1 is the degenerate "everything
+  /// in the heap except the current instant" configuration the
+  /// determinism tests exercise.
+  std::uint32_t ring_ticks = 8192;
 };
 
 /// Process-global default picked up by default-constructed Engines
@@ -75,6 +89,15 @@ class ScopedQueueConfig {
 
 class EventQueue {
  public:
+  /// Pushes per level since construction (where each event was first
+  /// placed; cascades and migrations are not counted).  Tooling only:
+  /// not registry counters, never in a digest.
+  struct LevelPushes {
+    std::uint64_t fine = 0;
+    std::uint64_t coarse = 0;
+    std::uint64_t heap = 0;
+  };
+
   explicit EventQueue(const QueueConfig& cfg);
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -84,13 +107,16 @@ class EventQueue {
 
   std::uint32_t ring_ticks() const noexcept { return cfg_.ring_ticks; }
 
-  /// Events currently in the near ring / the far heap.
-  std::size_t ring_size() const noexcept { return ring_count_; }
-  std::size_t overflow_size() const noexcept {
-    return size_ - ring_count_;
+  /// Events currently in the fine ring plus the coarse wheel / in the
+  /// far heap.
+  std::size_t ring_size() const noexcept {
+    return fine_count_ + coarse_count_;
   }
-  /// Non-empty ring buckets (the tracer's occupancy gauge).
-  std::size_t occupied_buckets() const noexcept { return occupied_; }
+  std::size_t overflow_size() const noexcept { return heap_.size(); }
+  /// Non-empty fine-ring buckets (the tracer's occupancy gauge).
+  std::size_t occupied_buckets() const noexcept { return fine_.occupied; }
+
+  const LevelPushes& pushes() const noexcept { return pushes_; }
 
   /// Enqueue. `t` must be >= the last popped time; `seq` strictly
   /// increasing across all pushes.
@@ -98,8 +124,8 @@ class EventQueue {
 
   /// Dequeue the (t, seq)-minimum into `t_out` / `fn_out`.  Returns
   /// false when empty.  Consecutive pops at one instant hit a cached
-  /// bucket pointer — draining a same-timestamp batch never re-probes
-  /// the bitmap or the heap.
+  /// bucket index — draining a same-timestamp batch never re-probes
+  /// the bitmap, the wheel or the heap.
   bool pop(SimTime& t_out, EventFn& fn_out);
 
  private:
@@ -108,12 +134,28 @@ class EventQueue {
   struct Node {
     EventFn fn;
     SimTime t = 0;
-    std::uint64_t seq = 0;
     std::uint32_t next = kNil;
   };
   struct Bucket {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
+  };
+  /// A ring of FIFO node lists with a two-level occupancy bitmap (one
+  /// bit per list, one summary bit per bitmap word).  Both the fine
+  /// ring and the coarse wheel are one.
+  struct Wheel {
+    std::vector<Bucket> lists;
+    std::vector<std::uint64_t> bits;
+    std::vector<std::uint64_t> summary;
+    std::size_t occupied = 0;
+
+    void init(std::uint32_t n);
+    void append(std::uint32_t i, std::uint32_t node,
+                std::vector<Node>& pool) noexcept;
+    void mark_empty(std::uint32_t i) noexcept;
+    /// First non-empty list at or after `from` in rotated order; kNil
+    /// when the wheel is empty.
+    std::uint32_t find_first_from(std::uint32_t from) const noexcept;
   };
   struct HeapItem {
     SimTime t;
@@ -121,32 +163,34 @@ class EventQueue {
     std::uint32_t node;
   };
 
-  std::uint32_t alloc_node(SimTime t, std::uint64_t seq, EventFn fn);
+  std::uint32_t alloc_node(SimTime t, EventFn fn);
   void free_node(std::uint32_t idx) noexcept;
-  void bucket_append(std::uint32_t bucket, std::uint32_t node) noexcept;
-  void bit_set(std::uint32_t bucket) noexcept;
-  void bit_clear(std::uint32_t bucket) noexcept;
-  /// First occupied bucket at or after `from` in rotated (window)
-  /// order; kNil when the ring is empty.
-  std::uint32_t find_first_from(std::uint32_t from) const noexcept;
-  void migrate_overflow() noexcept;
+  /// File `node` (due at `t`, inside [anchor, anchor + 2 + coarse)) in
+  /// the fine ring or the coarse wheel.
+  void place(SimTime t, std::uint32_t node) noexcept;
+  /// Move the anchor to `slot` (> anchor_): cascade, then migrate.
+  void advance(std::uint64_t slot) noexcept;
   void heap_push(HeapItem item);
   HeapItem heap_pop() noexcept;
 
   QueueConfig cfg_;
-  std::uint32_t mask_ = 0;  // ring_ticks - 1
+  unsigned shift_ = 0;                // coarse slot = t >> shift_
+  std::uint64_t fine_slots_ = 0;      // slots the fine ring covers (1 or 2)
+  std::uint64_t coarse_slots_ = 0;    // slots the wheel covers (0 = none)
+  std::uint32_t fine_mask_ = 0;       // ring_ticks - 1
+  std::uint32_t coarse_mask_ = 0;     // coarse_slots_ - 1
 
   std::vector<Node> pool_;
   std::uint32_t free_head_ = kNil;
-  std::vector<Bucket> ring_;
-  std::vector<std::uint64_t> bits_;     // one bit per bucket
-  std::vector<std::uint64_t> summary_;  // one bit per bits_ word
+  Wheel fine_;
+  Wheel coarse_;
   std::vector<HeapItem> heap_;
 
-  SimTime base_ = 0;  // window start = last popped time
+  std::uint64_t anchor_ = 0;  // coarse slot of the fine window's start
   std::size_t size_ = 0;
-  std::size_t ring_count_ = 0;
-  std::size_t occupied_ = 0;
+  std::size_t fine_count_ = 0;
+  std::size_t coarse_count_ = 0;
+  LevelPushes pushes_;
   // Cached bucket of the instant being drained (the batch fast path).
   std::uint32_t cur_bucket_ = kNil;
 };

@@ -1,6 +1,7 @@
 #include "net/arbitration.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace padico::net {
@@ -21,8 +22,21 @@ void Arbitration::set_policy(int sys_weight, int mad_weight) {
   credit_ = weight_[cur_];  // fresh turn under the new policy
 }
 
+core::EventFn Arbitration::Fifo::pop() noexcept {
+  core::EventFn fn = std::move(items[head]);
+  if (++head == items.size()) {
+    items.clear();
+    head = 0;
+  } else if (head >= kCompactAt && head * 2 >= items.size()) {
+    items.erase(items.begin(),
+                items.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return fn;
+}
+
 void Arbitration::enqueue(Substrate s, core::EventFn fn) {
-  queue_[static_cast<int>(s)].push_back(std::move(fn));
+  queue_[static_cast<int>(s)].items.push_back(std::move(fn));
   if (!pumping_) {
     pumping_ = true;
     engine_->schedule_after(dispatch_cost_, [this] { pump(); });
@@ -51,8 +65,7 @@ void Arbitration::pump() {
     return;
   }
   if (credit_ <= 0) credit_ = weight_[cur_];  // other side idle: renew
-  core::EventFn fn = std::move(queue_[cur_].front());
-  queue_[cur_].pop_front();
+  core::EventFn fn = queue_[cur_].pop();
   --credit_;
   ++dispatched_[cur_];
   obs_dispatch_[cur_]->add();

@@ -21,10 +21,13 @@
 // single arbitration point; queued closures are owned until dispatched.
 // Queues are plain FIFOs and the pump's state machine is driven only
 // by engine events, so dispatch order is bit-identical across runs.
+// An empty queue holds no heap block: a grid has one Arbitration per
+// node and most sit idle between events.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "core/engine.hpp"
 
@@ -67,10 +70,25 @@ class Arbitration {
   }
 
  private:
+  /// FIFO of queued events: a vector plus a read index, allocating on
+  /// first push only.  Drained, it rewinds; once the consumed prefix
+  /// reaches `kCompactAt` entries and half the vector it is erased, so
+  /// a queue that never drains stays bounded.
+  struct Fifo {
+    static constexpr std::size_t kCompactAt = 64;
+
+    std::vector<core::EventFn> items;
+    std::size_t head = 0;
+
+    bool empty() const noexcept { return head == items.size(); }
+    std::size_t size() const noexcept { return items.size() - head; }
+    core::EventFn pop() noexcept;
+  };
+
   void pump();
 
   core::Engine* engine_;
-  std::deque<core::EventFn> queue_[2];
+  Fifo queue_[2];
   int weight_[2] = {1, 1};
   core::Duration dispatch_cost_ = core::nanoseconds(40);
   core::Duration switch_cost_ = core::nanoseconds(500);

@@ -3,12 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <utility>
 #include <vector>
 
 namespace pc = padico::core;
+
+// Counting global operator new for this binary: the footprint test
+// reads how many bytes a construction requests.  The deletes stay out
+// of line so GCC does not see `free` on an inlined `new` result and
+// warn (-Wmismatched-new-delete).
+namespace {
+std::size_t g_new_bytes = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_new_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 TEST(Engine, RunsEventsInTimeOrder) {
   pc::Engine e;
@@ -106,22 +127,34 @@ TEST(Engine, QueueGaugesTrackShape) {
   pc::QueueConfig cfg;
   cfg.ring_ticks = 1024;
   pc::Engine e(cfg);
-  e.schedule_at(10, [] {});     // ring
-  e.schedule_at(10, [] {});     // same bucket
-  e.schedule_at(50'000, [] {});  // beyond the window: overflow heap
+  e.schedule_at(10, [] {});         // fine ring
+  e.schedule_at(10, [] {});         // same bucket
+  e.schedule_at(50'000, [] {});     // beyond the fine ring: coarse wheel
+  e.schedule_at(1'000'000, [] {});  // beyond the wheel: overflow heap
 
-  EXPECT_EQ(e.pending_count(), 3u);
-  EXPECT_EQ(e.obs().gauge("engine.pending").value(), 3);
+  EXPECT_EQ(e.pending_count(), 4u);
+  EXPECT_EQ(e.obs().gauge("engine.pending").value(), 4);
   e.publish_queue_gauges();
-  EXPECT_EQ(e.obs().gauge("engine.ring").value(), 2);
+  EXPECT_EQ(e.obs().gauge("engine.ring").value(), 3);  // fine + coarse
   EXPECT_EQ(e.obs().gauge("engine.overflow").value(), 1);
-  EXPECT_EQ(e.obs().gauge("engine.buckets").value(), 1);
+  EXPECT_EQ(e.obs().gauge("engine.buckets").value(), 1);  // fine only
 
   e.run_until_idle();
   e.publish_queue_gauges();
   EXPECT_EQ(e.obs().gauge("engine.ring").value(), 0);
   EXPECT_EQ(e.obs().gauge("engine.overflow").value(), 0);
   EXPECT_EQ(e.obs().gauge("engine.buckets").value(), 0);
+}
+
+TEST(Engine, ConstructionFootprintIsBounded) {
+  // Small grids are built by the dozen (Table 1 rows, the Fig. 3
+  // sweep): an engine, queue levels included, must stay small to build.
+  const std::size_t before = g_new_bytes;
+  {
+    pc::Engine e;
+    EXPECT_EQ(e.queue().ring_ticks(), pc::QueueConfig{}.ring_ticks);
+  }
+  EXPECT_LE(g_new_bytes - before, std::size_t{160} * 1024);
 }
 
 TEST(Engine, LargeClosuresTakeTheHeapFallback) {

@@ -1,8 +1,8 @@
 // EventQueue ordering invariants: the calendar queue must dispatch in
 // exactly the old `std::map<(t, seq), fn>` order — strictly
 // non-decreasing time, FIFO within an instant, past timestamps clamped
-// to now — under every configuration (default ring, 1-bucket
-// degenerate, tiny ring).
+// to now — under every configuration (default geometry, 1-bucket
+// degenerate, tiny rings whose coarse wheels span a few hundred ns).
 //
 // The oracle is a miniature map-engine reimplemented here from the
 // seed's semantics (not from the code under test), driven by the same
@@ -60,9 +60,11 @@ class MapOracle {
 // ---------------------------------------------------------------------------
 
 /// Drive `eng` through `total` events: every dispatched event records
-/// its id and schedules 0–2 children at random offsets — far future
-/// (past any ring window), near future, the same instant, and the
-/// PAST (negative offsets, which must clamp).  All decisions come off
+/// its id and schedules 1–2 children at random offsets — the same
+/// instant, near future (fine ring), mid future (10 us–16 ms: the
+/// coarse wheel at the default geometry), far future (past the default
+/// coarse span: the heap), and the PAST (negative offsets, which must
+/// clamp).  All decisions come off
 /// one seeded Rng, so two engines with identical dispatch order see
 /// identical programs; any ordering divergence derails the comparison
 /// visibly.
@@ -82,17 +84,20 @@ std::vector<std::uint32_t> run_program(EngineT& eng, std::uint32_t total,
     const int children = 1 + static_cast<int>(rng.uniform_int(0, 1));
     for (int c = 0; c < children && budget > 0; ++c) {
       --budget;
-      const std::uint64_t kind = rng.uniform_int(0, 3);
+      const std::uint64_t kind = rng.uniform_int(0, 4);
       const pc::SimTime now = eng.now();
       pc::SimTime t = now;
       switch (kind) {
         case 0:  // same instant (FIFO with everything queued at now)
           break;
-        case 1:  // near future, inside any ring window
+        case 1:  // near future, inside the default fine ring
           t = now + 1 + rng.uniform_int(0, 4000);
           break;
-        case 2:  // far future, beyond the default 131072-tick window
-          t = now + 200'000 + rng.uniform_int(0, 2'000'000);
+        case 2:  // mid future: LAN to WAN hops, coarse-wheel work
+          t = now + 10'000 + rng.uniform_int(0, 15'990'000);
+          break;
+        case 3:  // far future, beyond the default ~16.8 ms coarse span
+          t = now + 20'000'000 + rng.uniform_int(0, 40'000'000);
           break;
         default:  // the past — must clamp to now
           t = now - std::min<pc::SimTime>(now, rng.uniform_int(1, 10'000));
@@ -103,12 +108,12 @@ std::vector<std::uint32_t> run_program(EngineT& eng, std::uint32_t total,
     }
   };
 
-  // Seed the program with a spread of roots so several buckets and the
-  // far heap are populated before the first dispatch.
+  // Seed the program with a spread of roots so every level is
+  // populated before the first dispatch.
   for (int r = 0; r < 64 && budget > 0; ++r) {
     --budget;
     const std::uint32_t id = next_id++;
-    eng.schedule_at(rng.uniform_int(0, 500'000),
+    eng.schedule_at(rng.uniform_int(0, 30'000'000),
                     [&fire, id] { fire(id); });
   }
   eng.run_until_idle();
@@ -133,41 +138,86 @@ TEST(EventQueueOrdering, HundredThousandRandomEventsMatchMapSemantics) {
       run_program(oracle, kTotal, kSeed);
   ASSERT_EQ(expect.size(), kTotal);
 
-  pc::QueueConfig cfg;  // default calendar configuration
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
+  // Default geometry, then the degenerate everything-via-the-heap ring,
+  // then rings whose coarse span (ring_ticks^2 / 4 ticks) is tiny, so
+  // cascades and heap->wheel migrations run on almost every pop.
+  for (const std::uint32_t ring : {pc::QueueConfig{}.ring_ticks, 1u, 2u, 4u,
+                                   64u, 1024u}) {
+    SCOPED_TRACE(ring);
+    EXPECT_EQ(run_config(pc::QueueConfig{ring}, kTotal, kSeed), expect);
+  }
+}
 
-  cfg.ring_ticks = 1;  // degenerate: everything via the overflow heap
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
+TEST(EventQueueOrdering, OneTickFedFromAllThreeLevelsPopsInPushOrder) {
+  // ring_ticks 64: coarse slots of 32 ticks, the fine ring covers slots
+  // [A, A+2) and the wheel [A+2, A+34) for anchor slot A.
+  pc::EventQueue q(pc::QueueConfig{64});
+  constexpr pc::SimTime kTick = 156 * 32 + 7;
+  std::vector<int> order;
+  std::uint64_t seq = 0;
+  pc::SimTime t = 0;
+  pc::EventFn fn;
 
-  cfg.ring_ticks = 64;  // tiny window: constant ring<->heap migration
-  EXPECT_EQ(run_config(cfg, kTotal, kSeed), expect);
+  q.push(kTick, seq++, [&order] { order.push_back(0); });  // heap
+  q.push(130 * 32, seq++, [] {});
+  ASSERT_TRUE(q.pop(t, fn));  // anchor -> 130: kTick's slot is coarse
+  EXPECT_EQ(t, 130u * 32);
+  q.push(kTick, seq++, [&order] { order.push_back(1); });  // coarse
+  q.push(155 * 32, seq++, [] {});
+  ASSERT_TRUE(q.pop(t, fn));  // anchor -> 155: cascades kTick's slot
+  EXPECT_EQ(t, 155u * 32);
+  q.push(kTick, seq++, [&order] { order.push_back(2); });  // fine
+
+  EXPECT_EQ(q.pushes().heap, 2u);
+  EXPECT_EQ(q.pushes().coarse, 2u);
+  EXPECT_EQ(q.pushes().fine, 1u);
+  while (q.pop(t, fn)) {
+    EXPECT_EQ(t, kTick);
+    fn();
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventQueueOrdering, QueueShapeAccountingStaysConsistent) {
-  pc::QueueConfig cfg;
-  cfg.ring_ticks = 1024;
-  pc::EventQueue q(cfg);
-  // Ring entry, far entries, and a same-tick far/near split.
+  // ring_ticks 1024: slots of 512 ticks; fine [0, 1024), wheel up to
+  // slot 514 (t < 263'168), heap beyond.
+  pc::EventQueue q(pc::QueueConfig{1024});
   q.push(10, 0, [] {});
   q.push(5'000, 1, [] {});
   q.push(5'000, 2, [] {});
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.ring_size(), 1u);
-  EXPECT_EQ(q.overflow_size(), 2u);
+  q.push(300'000, 3, [] {});
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.ring_size(), 3u);  // fine + coarse
+  EXPECT_EQ(q.overflow_size(), 1u);
   EXPECT_EQ(q.occupied_buckets(), 1u);
+  EXPECT_EQ(q.pushes().fine, 1u);
+  EXPECT_EQ(q.pushes().coarse, 2u);
+  EXPECT_EQ(q.pushes().heap, 1u);
 
   pc::SimTime t = 0;
   pc::EventFn fn;
   ASSERT_TRUE(q.pop(t, fn));
   EXPECT_EQ(t, 10u);
-  // Popping slid the window past 5'000: both far entries migrated.
+  // The fine ring drained: the anchor jumped to 5'000's slot and both
+  // coarse entries cascaded into one fine bucket; 300'000 is still
+  // beyond the wheel.
   ASSERT_TRUE(q.pop(t, fn));
   EXPECT_EQ(t, 5'000u);
+  EXPECT_EQ(q.ring_size(), 1u);
+  EXPECT_EQ(q.overflow_size(), 1u);
+  EXPECT_EQ(q.occupied_buckets(), 1u);
   ASSERT_TRUE(q.pop(t, fn));
   EXPECT_EQ(t, 5'000u);
+  EXPECT_EQ(q.ring_size(), 0u);
+  EXPECT_EQ(q.occupied_buckets(), 0u);
+  ASSERT_TRUE(q.pop(t, fn));
+  EXPECT_EQ(t, 300'000u);
   EXPECT_FALSE(q.pop(t, fn));
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.overflow_size(), 0u);
   EXPECT_EQ(q.occupied_buckets(), 0u);
+  // Cascades and migrations are not pushes.
+  EXPECT_EQ(q.pushes().fine + q.pushes().coarse + q.pushes().heap, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -223,4 +273,19 @@ TEST(EventQueueDigest, DegenerateRingReproducesTheSameRecording) {
   EXPECT_EQ(degenerate.digest, kRecordedDigest);
   EXPECT_EQ(degenerate.events, kRecordedEvents);
   EXPECT_EQ(degenerate.duration, kRecordedDuration);
+}
+
+TEST(EventQueueLevels, SmallWorldWanTrafficNeverPushesToTheHeap) {
+  // 8 ethernet clusters under the default VTHD WAN, at a session rate
+  // the WAN carries without a backlog: every hop, the 8 ms WAN one plus
+  // serialisation included, fits the default ~16.8 ms coarse span.  (A
+  // WAN queue deeper than ~8.8 ms does reach the heap, by design.)
+  sc::Scenario s(sc::small_world(8, 16, 4'000, 200'000.0, 7));
+  const sc::Report r = s.run();
+  EXPECT_EQ(r.opened, r.closed + r.failed);
+  EXPECT_GT(s.grid().engine().obs().counter("net.vthd-wan.msgs").value(), 0u);
+  const pc::EventQueue::LevelPushes& p = s.grid().engine().queue().pushes();
+  EXPECT_GT(p.fine, 0u);
+  EXPECT_GT(p.coarse, 0u);
+  EXPECT_EQ(p.heap, 0u);
 }

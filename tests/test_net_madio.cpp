@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -320,6 +321,29 @@ TEST(Arbitration, SwitchingSubstratesCostsMoreThanStaying) {
   EXPECT_EQ(swap, arb.dispatch_cost() + arb.switch_cost());
   EXPECT_EQ(arb.dispatched(net::Substrate::mad), 2u);
   EXPECT_EQ(arb.dispatched(net::Substrate::sys), 1u);
+}
+
+TEST(Arbitration, BacklogThatNeverDrainsStaysFifo) {
+  // Each dispatch queues two more events, so the sys queue grows past
+  // its compaction point many times without ever running empty.
+  pc::Engine engine;
+  net::Arbitration arb(engine);
+  std::vector<int> order;
+  int next = 0;
+  std::function<void(int)> fire = [&](int id) {
+    order.push_back(id);
+    for (int c = 0; c < 2 && next < 1000; ++c) {
+      const int child = next++;
+      arb.enqueue(net::Substrate::sys, [&fire, child] { fire(child); });
+    }
+  };
+  const int root = next++;
+  arb.enqueue(net::Substrate::sys, [&fire, root] { fire(root); });
+  engine.run_until_idle();
+  ASSERT_EQ(order.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(arb.queued(net::Substrate::sys), 0u);
+  EXPECT_EQ(arb.dispatched(net::Substrate::sys), 1000u);
 }
 
 TEST(Arbitration, PolicyClampsToPositiveWeights) {
